@@ -55,6 +55,12 @@ class VehicleSpec:
     altitude_band_ft: tuple[float, float] = (500.0, 3000.0)
 
     def __post_init__(self):
+        # a fractional turnaround or buffer would schedule transitions that
+        # the integer minute clock never reaches, stalling the fleet
+        for name in ("turnaround_min", "buffer_min", "capacity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         positives = {
             "cruise_speed_mph": self.cruise_speed_mph,
             "max_range_mi": self.max_range_mi,
@@ -67,8 +73,6 @@ class VehicleSpec:
         for name, value in positives.items():
             if value <= 0:
                 raise ValidationError(f"{name} must be strictly positive, got {value}")
-        if not isinstance(self.capacity, int):
-            raise ValidationError(f"capacity must be an integer, got {self.capacity!r}")
         if self.optimal_leg_mi > self.max_range_mi:
             raise ValidationError("optimal_leg_mi cannot exceed max_range_mi")
 

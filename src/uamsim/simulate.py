@@ -13,6 +13,13 @@ ceiling of the airborne time).  Per minute the engine
 4. repositions remaining idle vehicles at rider-free nodes toward the
    highest-origin-rate node that still has riders waiting.
 
+Waiting riders are held three ways: ``waiting`` is the rider-id-ordered
+ledger, each (origin, dest) pair has a FIFO ``deque`` of its riders, and
+each origin keeps a count of riders waiting there.  A boarding pools the
+first ``capacity`` riders of its pair's queue, and repositioning reads the
+per-origin counts, so a minute costs time in proportion to the riders
+visited and the legs launched, not to the length of the queue.
+
 Vehicles charge for the full turnaround after every leg (the post-
 reposition charge can be disabled), and every leg flown is checked against
 the vehicle's range.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -141,7 +149,6 @@ class _Vehicle:
     Attributes:
         location: node id when on the ground, unchanged while airborne.
         dest: target node while FLYING or REPOSITIONING.
-        ready_min: minute the current activity completes.
         depart_min / buffer_len / air_len: current leg bookkeeping.
         inbound_target: node a summoned/repositioning vehicle is committed
             to until it next goes idle; keeps a waiting rider from summoning
@@ -149,7 +156,7 @@ class _Vehicle:
     """
 
     __slots__ = (
-        "id", "location", "state", "onboard", "dest", "ready_min", "depart_min",
+        "id", "location", "state", "onboard", "dest", "depart_min",
         "buffer_len", "air_len", "charge_start", "idle_since", "inbound_target",
         "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
     )
@@ -160,7 +167,6 @@ class _Vehicle:
         self.state = VehicleState.IDLE
         self.onboard: tuple[int, ...] = ()
         self.dest = -1
-        self.ready_min = 0
         self.depart_min = 0
         self.buffer_len = 0
         self.air_len = 0
@@ -230,6 +236,11 @@ class Simulation:
         self.idle_count = cfg.fleet
 
         self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
+        # the same riders, FIFO per (origin, dest) pair and counted per origin
+        self.queue: list[list[deque[RiderRequest]]] = [
+            [deque() for _ in range(n)] for _ in range(n)
+        ]
+        self.waiting_at = [0] * n
         self.summoned: dict[int, int] = {}          # rider id -> vehicle id flying to help
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids to transition
         self.trips: list[TripRecord] = []
@@ -243,7 +254,10 @@ class Simulation:
         if rule == "round_robin":
             return vid % self.n
         if rule.startswith("node:"):
-            node = int(rule.split(":", 1)[1])
+            try:
+                node = int(rule.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"initial placement node in {rule!r} is not an integer") from None
             if not 0 <= node < self.n:
                 raise ConfigError(f"initial placement node {node} out of range")
             return node
@@ -277,40 +291,48 @@ class Simulation:
     def inject(self, minute: int) -> None:
         for rider in self.arrivals_by_minute[minute]:
             self.waiting[rider.rider_id] = rider
+            self.queue[rider.origin][rider.dest].append(rider)
+            self.waiting_at[rider.origin] += 1
             self.generated_so_far += 1
 
     def dispatch_step(self, minute: int) -> None:
-        if not self.waiting:
-            return
-        for rider in list(self.waiting.values()):
-            if rider.rider_id not in self.waiting:
+        if self.idle_count == 0:
+            return  # nobody can board or be summoned this minute
+        boarded: list[int] = []
+        for rider in self.waiting.values():
+            if rider.rider_id in self.board_min:
                 continue  # pooled onto an earlier boarding this pass
             origin = rider.origin
             if self.idle_at[origin]:
-                self._board(rider, minute)
+                boarded += self._board(rider, minute)
                 continue
             helper = self.summoned.get(rider.rider_id)
             if helper is not None and self.vehicles[helper].inbound_target == origin:
                 continue  # help already on its way
             if self.idle_count == 0:
-                break  # nobody can board or be summoned this minute
+                break  # the last idle vehicle left during this pass
             vid = self._nearest_idle(origin)
             if vid is not None:
-                self._launch_reposition(self.vehicles[vid], origin, minute)
+                self._launch(self.vehicles[vid], REPOSITION, origin, (), minute)
                 self.summoned[rider.rider_id] = vid
+        for rid in boarded:
+            del self.waiting[rid]
 
     def reposition_idle(self, minute: int) -> None:
         if not self.cfg.reposition_enabled or self.idle_count == 0 or not self.waiting:
             return
-        waiting_nodes = {r.origin for r in self.waiting.values()}
-        target = min(waiting_nodes, key=lambda x: (-self.origin_rate[x], x))
+        waiting_at = self.waiting_at
+        target = min(
+            (x for x in range(self.n) if waiting_at[x]),
+            key=lambda x: (-self.origin_rate[x], x),
+        )
         for node in range(self.n):
-            if node in waiting_nodes or not self.idle_at[node]:
+            if waiting_at[node] or not self.idle_at[node]:
                 continue
             if not self.feasible[node][target]:
                 continue
             for vid in sorted(self.idle_at[node]):
-                self._launch_reposition(self.vehicles[vid], target, minute)
+                self._launch(self.vehicles[vid], REPOSITION, target, (), minute)
 
     # -- helpers -----------------------------------------------------------
 
@@ -324,8 +346,7 @@ class Simulation:
     def _start_charge(self, v: _Vehicle, minute: int) -> None:
         v.state = VehicleState.CHARGING
         v.charge_start = minute
-        v.ready_min = minute + self.turnaround
-        self.due.setdefault(v.ready_min, []).append(v.id)
+        self.due.setdefault(minute + self.turnaround, []).append(v.id)
 
     def _leave_idle(self, v: _Vehicle, minute: int) -> None:
         v.idle_min += minute - v.idle_since
@@ -342,44 +363,40 @@ class Simulation:
             return min(self.idle_at[node])
         return None
 
-    def _board(self, rider: RiderRequest, minute: int) -> None:
-        v = self.vehicles[min(self.idle_at[rider.origin])]
-        group = [
-            w for w in self.waiting.values()
-            if w.origin == rider.origin and w.dest == rider.dest
-        ][: self.capacity]
-        self._leave_idle(v, minute)
-        air = self.air_min[rider.origin][rider.dest]
-        v.state = VehicleState.FLYING
-        v.dest = rider.dest
-        v.depart_min = minute
-        v.buffer_len = self.buffer
-        v.air_len = air
-        v.ready_min = minute + self.buffer + air
-        v.onboard = tuple(w.rider_id for w in group)
-        self.due.setdefault(v.ready_min, []).append(v.id)
-        self.trips.append(
-            TripRecord(v.id, REVENUE, rider.origin, rider.dest, minute, v.ready_min, v.onboard)
-        )
-        for w in group:
-            self.board_min[w.rider_id] = minute
-            del self.waiting[w.rider_id]
-            self.summoned.pop(w.rider_id, None)
+    def _board(self, rider: RiderRequest, minute: int) -> tuple[int, ...]:
+        """Fly ``rider`` and up to ``capacity - 1`` pair-mates; return their ids.
 
-    def _launch_reposition(self, v: _Vehicle, target: int, minute: int) -> None:
+        ``rider`` is at the front of its pair's queue: riders are visited in
+        id order and no vehicle goes idle during a pass, so an earlier rider
+        of the same pair who was not boarded found no idle vehicle here.
+        """
+        queue = self.queue[rider.origin][rider.dest]
+        group = tuple(queue.popleft().rider_id for _ in range(min(self.capacity, len(queue))))
+        self.waiting_at[rider.origin] -= len(group)
+        v = self.vehicles[min(self.idle_at[rider.origin])]
+        self._launch(v, REVENUE, rider.dest, group, minute)
+        for rid in group:
+            self.board_min[rid] = minute
+            self.summoned.pop(rid, None)
+        return group
+
+    def _launch(self, v: _Vehicle, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> None:
+        """Take an idle vehicle off the ground on a leg to ``dest``."""
         self._leave_idle(v, minute)
-        air = self.air_min[v.location][target]
-        v.state = VehicleState.REPOSITIONING
-        v.dest = target
+        if kind == REVENUE:
+            v.state = VehicleState.FLYING
+        else:
+            v.state = VehicleState.REPOSITIONING
+            v.inbound_target = dest
+        air = self.air_min[v.location][dest]
+        v.dest = dest
         v.depart_min = minute
         v.buffer_len = self.buffer
         v.air_len = air
-        v.ready_min = minute + self.buffer + air
-        v.inbound_target = target
-        self.due.setdefault(v.ready_min, []).append(v.id)
-        self.trips.append(
-            TripRecord(v.id, REPOSITION, v.location, target, minute, v.ready_min, ())
-        )
+        v.onboard = riders
+        arrive_min = minute + self.buffer + air
+        self.due.setdefault(arrive_min, []).append(v.id)
+        self.trips.append(TripRecord(v.id, kind, v.location, dest, minute, arrive_min, riders))
 
     # -- loop ---------------------------------------------------------------
 

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uamsim import (
     GeoNode,
+    ODMatrix,
     SimConfig,
     VehicleSpec,
     build_network,
@@ -74,10 +76,26 @@ def sim_config(net, spec, baseline_rates):
 
 def single_pair_rates(net, pax_per_min: float, origin: int = 0, dest: int = 2):
     """Rates with demand on exactly one ordered pair."""
-    import numpy as np
-
     from uamsim import DemandRates
 
     lam = np.zeros((net.n, net.n))
     lam[origin, dest] = pax_per_min
     return DemandRates(per_min=lam)
+
+
+def backlog_config(seed: int, fleet: int, t_sim: int) -> SimConfig:
+    """A multi-node day whose fleet is far too small, so the queue backs up.
+
+    Same recipe as the benchmark's stress scenario: 30 vertiports uniform in
+    a 0.5 degree box and monthly OD counts uniform on [0, 3000).
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 3000, size=(30, 30))
+    np.fill_diagonal(counts, 0)
+    lat = 37.25 + 0.5 * rng.random(30)
+    lon = -122.25 + 0.5 * rng.random(30)
+    spec = VehicleSpec()
+    nodes = [GeoNode(i, f"V{i:02d}", float(lat[i]), float(lon[i])) for i in range(30)]
+    net = build_network(nodes, spec)
+    rates = compute_rates(ODMatrix(counts=counts))
+    return SimConfig(net=net, spec=spec, rates=rates, fleet=fleet, t_sim=t_sim, seed=seed)

@@ -201,3 +201,27 @@ def test_unknown_config_key_exits_2(scenario_dir):
     doc["not_a_key"] = 1
     (scenario_dir / "config.json").write_text(json.dumps(doc))
     assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("field, value", [("turnaround_min", 10.5), ("buffer_min", 2.5)])
+def test_fractional_vehicle_minutes_exit_2(scenario_dir, tmp_path, capsys, field, value):
+    # a non-integer duration would schedule transitions the minute clock
+    # never reaches and silently stall the fleet
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["vehicle"][field] = value
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+    ) == EXIT_CONFIG
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+def test_non_integer_placement_node_exits_2(scenario_dir, tmp_path, capsys):
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["initial_placement"] = "node:abc"
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    assert "not an integer" in capsys.readouterr().err

@@ -11,21 +11,12 @@ import hashlib
 import json
 import shutil
 
-import numpy as np
 import pytest
 
-from uamsim import (
-    GeoNode,
-    ODMatrix,
-    SimConfig,
-    VehicleSpec,
-    build_network,
-    compute_rates,
-    run_simulation,
-)
+from uamsim import SimConfig, run_simulation
 from uamsim.cli import EXIT_OK, main
 
-from conftest import BASELINE_DIR
+from conftest import BASELINE_DIR, backlog_config
 
 BASELINE_DIGESTS = {
     "fleet1": "c68856ab3535b5a75c3ec39ae91de3d99ec45ddcb42a59a7325e680fc6ce62bc",
@@ -66,24 +57,6 @@ def test_baseline_digest(case, baseline_scenario, baseline_world):
     cfg = SimConfig(net=net, spec=baseline_scenario.vehicle, rates=rates,
                     t_sim=1200, seed=0, **BASELINE_CASES[case])
     assert result_digest(run_simulation(cfg)) == BASELINE_DIGESTS[case]
-
-
-def backlog_config(seed: int, fleet: int, t_sim: int) -> SimConfig:
-    """A multi-node day whose fleet is far too small, so the queue backs up.
-
-    Same recipe as the benchmark's stress scenario: 30 vertiports uniform in
-    a 0.5 degree box and monthly OD counts uniform on [0, 3000).
-    """
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 3000, size=(30, 30))
-    np.fill_diagonal(counts, 0)
-    lat = 37.25 + 0.5 * rng.random(30)
-    lon = -122.25 + 0.5 * rng.random(30)
-    spec = VehicleSpec()
-    nodes = [GeoNode(i, f"V{i:02d}", float(lat[i]), float(lon[i])) for i in range(30)]
-    net = build_network(nodes, spec)
-    rates = compute_rates(ODMatrix(counts=counts))
-    return SimConfig(net=net, spec=spec, rates=rates, fleet=fleet, t_sim=t_sim, seed=seed)
 
 
 def test_backlog_digest():

@@ -22,7 +22,7 @@ from uamsim import (
     run_simulation,
 )
 
-from conftest import single_pair_rates
+from conftest import backlog_config, single_pair_rates
 
 SFO, OAK, SJC, PAO = 0, 1, 2, 3
 
@@ -197,8 +197,8 @@ def test_reposition_single_candidate(net, spec):
     # direct unit call: idle vehicle at PAO, waiting rider at SJC only
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=60,
                     initial_placement="node:3")
-    sim = Simulation(cfg)
-    sim.waiting[0] = RiderRequest(0, SJC, SFO, 0)
+    sim = scripted_sim(cfg, [RiderRequest(0, SJC, SFO, 0)])
+    sim.inject(0)
     sim.reposition_idle(0)
     assert len(sim.trips) == 1
     assert sim.trips[0].kind == REPOSITION
@@ -229,7 +229,6 @@ def test_reposition_prefers_higher_origin_rate(net, spec, baseline_rates):
     sim.idle_count -= 1
     v2.state = VehicleState.CHARGING
     v2.charge_start = 0
-    v2.ready_min = 2
     sim.due.setdefault(2, []).append(2)
     sim.step()  # minute 0: riders summon vehicles 0 (to SFO) and 1 (to SJC)
     summons = {t.vehicle_id: t.dest for t in sim.trips}
@@ -352,6 +351,35 @@ def test_invariants_on_random_configs(net, spec, baseline_rates, case):
             if prev.kind == REPOSITION and not cfg.charge_after_reposition:
                 gap = 0
             assert nxt.depart_min >= prev.arrive_min + gap
+
+
+def assert_queues_match_waiting(sim: Simulation) -> None:
+    """The per-pair queues and per-origin counts mirror the waiting ledger."""
+    by_pair: dict[tuple[int, int], list[RiderRequest]] = {}
+    at_origin = [0] * sim.n
+    for rider in sim.waiting.values():
+        by_pair.setdefault((rider.origin, rider.dest), []).append(rider)
+        at_origin[rider.origin] += 1
+    for o in range(sim.n):
+        for d in range(sim.n):
+            queue = list(sim.queue[o][d])
+            assert queue == by_pair.get((o, d), [])
+            assert [r.rider_id for r in queue] == sorted(r.rider_id for r in queue)
+    assert sim.waiting_at == at_origin
+
+
+@pytest.mark.parametrize("case", [*range(12), "backlog"])
+def test_queues_match_waiting_every_minute(net, spec, baseline_rates, case):
+    if case == "backlog":
+        cfg = backlog_config(seed=5, fleet=60, t_sim=120)
+    else:
+        cfg = random_config(net, spec, baseline_rates, random.Random(1000 + case))
+    sim = Simulation(cfg)
+    while sim.minute < cfg.t_sim:
+        sim.step()
+        assert_queues_match_waiting(sim)
+    if case == "backlog":
+        assert len(sim.waiting) > 1000
 
 
 def test_conservation_holds_every_minute(net, spec, baseline_rates):
