@@ -1,8 +1,9 @@
 """Golden digests: fixed runs whose outputs must stay byte-identical.
 
 Each case hashes ``json.dumps(SimResult.to_dict(), sort_keys=True)`` with
-sha256; the CLI case hashes every file one ``simulate`` run writes.  A
-digest may change only in a change whose CHANGES.md entry says why.
+sha256; the CLI cases hash every file one ``simulate`` or ``sweep`` run
+writes, two of them through ``refine_fleet``.  A digest may change only in
+a change whose CHANGES.md entry says why.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ CLI_DIGESTS = {
     "trips.csv": "703ed483b85eaec7e208cec5da831d082d3644d10f58f226e5c0a56e34041f35",
     "waits.csv": "6fb145e08a8f1637c136f9abc485d1b719d6834065d6b611a79a0c194a7bebfc",
 }
+# `simulate` with `fleet: null`: refine_fleet picks the fleet (16 here)
+REFINED_CLI_DIGESTS = {
+    "heatmap_demand.csv": "46e1b67bb8592a52417fef570c1b3595873542168500c10d556fcfd8feb65877",
+    "heatmap_served.csv": "8a5781cf71d016097864359604f178f239f0e43b4d9bbc3eb953814332b939a2",
+    "report.json": "f9b670004cd2b234418b52f575105c001b58f4847013bb84ac51df5d25a66115",
+    "riders.csv": "da7e94575748743a57f76c4fc1bfe494f447f9221ea6974efc13a19ac45cf85c",
+    "trips.csv": "bb5c92e0a953a4004b1b3b28ae6ceab48b16aab021f64399003843debe0a8e92",
+    "waits.csv": "925465c05b800a2156e0c0f689b378966de1a26ee213f1722a82174991b93c5e",
+}
+SWEEP_CLI_DIGESTS = {
+    "sweep.csv": "14a5d5fd34b6abdf59e85345084f40ce329bf9fc9e2d0a1037e8f8668be83295",
+}
 
 BASELINE_CASES = {
     "fleet1": dict(fleet=1),
@@ -65,15 +78,31 @@ def test_backlog_digest():
     assert result_digest(result) == BACKLOG_DIGEST
 
 
-def test_simulate_cli_files(tmp_path, monkeypatch):
-    # run from tmp_path with a relative config path, so the config echo in
-    # report.json does not depend on where the checkout lives
+def run_in_copy(tmp_path, monkeypatch, argv, **config_changes) -> dict[str, str]:
+    """Run the CLI on a copy of the baseline scenario; sha256 of each output.
+
+    It runs from tmp_path with a relative config path, so the config echo in
+    report.json does not depend on where the checkout lives.
+    """
     shutil.copytree(BASELINE_DIR, tmp_path / "scenario")
+    config = tmp_path / "scenario" / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), **config_changes}))
     monkeypatch.chdir(tmp_path)
-    assert main(["simulate", "--config", "scenario/config.json", "--out", "out",
-                 "--fleet", "8", "--seed", "3", "--minutes", "600"]) == EXIT_OK
-    written = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert written == sorted(CLI_DIGESTS)
-    for name in written:
-        digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        assert digest == CLI_DIGESTS[name], name
+    assert main([*argv, "--config", "scenario/config.json", "--out", "out"]) == EXIT_OK
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").iterdir())}
+
+
+def test_simulate_cli_files(tmp_path, monkeypatch):
+    argv = ["simulate", "--fleet", "8", "--seed", "3", "--minutes", "600"]
+    assert run_in_copy(tmp_path, monkeypatch, argv) == CLI_DIGESTS
+
+
+def test_simulate_refined_fleet_cli_files(tmp_path, monkeypatch):
+    argv = ["simulate", "--seed", "5", "--minutes", "300"]
+    assert run_in_copy(tmp_path, monkeypatch, argv, fleet=None, seeds=2) == REFINED_CLI_DIGESTS
+
+
+def test_sweep_cli_files(tmp_path, monkeypatch):
+    argv = ["sweep", "--n-min", "1", "--n-max", "16", "--seeds", "3", "--minutes", "300"]
+    assert run_in_copy(tmp_path, monkeypatch, argv) == SWEEP_CLI_DIGESTS
