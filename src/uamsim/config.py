@@ -128,21 +128,43 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         od_path=_resolve(doc["od"]),
         vehicle=vehicle,
         cost=cost,
-        days_per_month=int(doc.get("days_per_month", 30)),
-        op_hours_per_day=float(doc.get("op_hours_per_day", 20.0)),
-        t_sim_min=int(doc.get("t_sim_min", 1200)),
-        fleet=None if doc.get("fleet") is None else int(doc["fleet"]),
-        alpha=float(doc.get("alpha", 2.0)),
-        pooling_q=float(doc.get("pooling_q", 3.0)),
-        seed=int(doc.get("seed", 0)),
-        seeds=int(doc.get("seeds", 1)),
-        reposition_enabled=bool(doc.get("reposition_enabled", True)),
-        charge_after_reposition=bool(doc.get("charge_after_reposition", True)),
+        days_per_month=_scalar(path, doc, "days_per_month", int, 30),
+        op_hours_per_day=_scalar(path, doc, "op_hours_per_day", float, 20.0),
+        t_sim_min=_scalar(path, doc, "t_sim_min", int, 1200),
+        fleet=None if doc.get("fleet") is None else _scalar(path, doc, "fleet", int, None),
+        alpha=_scalar(path, doc, "alpha", float, 2.0),
+        pooling_q=_scalar(path, doc, "pooling_q", float, 3.0),
+        seed=_scalar(path, doc, "seed", int, 0),
+        seeds=_scalar(path, doc, "seeds", int, 1),
+        reposition_enabled=_scalar(path, doc, "reposition_enabled", bool, True),
+        charge_after_reposition=_scalar(path, doc, "charge_after_reposition", bool, True),
         initial_placement=str(doc.get("initial_placement", "round_robin")),
-        compare_wait_min=float(doc.get("compare_wait_min", 0.0)),
+        compare_wait_min=_scalar(path, doc, "compare_wait_min", float, 0.0),
     )
     _validate(cfg)
     return cfg
+
+
+# JSON value types each scalar kind accepts, and how a message names the kind
+_SCALAR_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
+
+
+def _scalar(path: Path, doc: dict, key: str, kind: type, default):
+    """Read one top-level scalar, refusing values of the wrong JSON type.
+
+    A bool is accepted only where a bool is asked for (JSON ``true`` is an
+    int to Python), and an integer given for a float field is stored as a
+    float.
+    """
+    value = doc.get(key, default)
+    accepted, name = _SCALAR_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
+    return kind(value)
 
 
 def _validate(cfg: ScenarioConfig) -> None:

@@ -6,6 +6,11 @@ rates by dividing through the operating minutes in a month
 Knuth's product-of-uniforms Poisson inversion over a single PCG64 uniform
 stream, so a (rates, horizon, seed) triple always reproduces the identical
 rider list on any platform.
+
+The sampler is one loop over a chunked uniform stream.  At these rates
+about 96% of draws are zero, and those end at the first uniform.  A stream
+depends only on (rates, horizon, seed), so a fleet sweep samples each seed
+once and hands the list to every run (see ``Simulation``'s ``riders``).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +29,8 @@ from .network import RouteNetwork
 # Uniform source behind the arrival sampler; recorded in reports so runs
 # can state which generator produced their demand realization.
 RNG_NAME = "pcg64"
+# uniforms fetched from the generator per call
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -129,41 +137,6 @@ def expected_arrivals(rates: DemandRates, t_sim: int) -> float:
     return rates.total_rate * t_sim
 
 
-class _UniformStream:
-    """Buffered uniform(0,1) draws from a seeded PCG64 generator.
-
-    Batch and scalar draws from PCG64 produce the same stream, so buffering
-    is purely a speed device; the consumed sequence is identical to calling
-    ``Generator.random()`` once per draw.
-    """
-
-    __slots__ = ("_gen", "_chunk", "_buf", "_pos")
-
-    def __init__(self, seed: int, chunk: int = 8192):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._chunk = chunk
-        self._buf = self._gen.random(chunk).tolist()
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(self._chunk).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-
-def _poisson_knuth(stream: _UniformStream, exp_neg_rate: float) -> int:
-    """Knuth inversion: multiply uniforms until the product drops below e^-rate."""
-    k = 0
-    p = stream.next()
-    while p > exp_neg_rate:
-        k += 1
-        p *= stream.next()
-    return k
-
-
 def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRequest]:
     """Sample the full rider-arrival stream for one simulation run.
 
@@ -184,12 +157,23 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
         for j in range(n)
         if i != j and rates.per_min[i, j] > 0.0
     ]
-    stream = _UniformStream(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    # One endless uniform stream.  PCG64 gives the same sequence drawn in
+    # chunks as drawn one at a time, so the chunking only saves calls.
+    uniforms = chain.from_iterable(iter(lambda: gen.random(_CHUNK).tolist(), None))
+    next_uniform = uniforms.__next__
     riders: list[RiderRequest] = []
-    rider_id = 0
     for minute in range(t_sim):
-        for origin, dest, exp_neg in pairs:
-            for _ in range(_poisson_knuth(stream, exp_neg)):
-                riders.append(RiderRequest(rider_id, origin, dest, minute))
-                rider_id += 1
+        # zip takes the pair before the uniform, so it stops without
+        # drawing once the pairs run out
+        for (origin, dest, exp_neg), p in zip(pairs, uniforms):
+            if p <= exp_neg:  # a zero count, by far the most common draw
+                continue
+            # Knuth inversion: multiply uniforms until the product drops to e^-rate
+            k = 0
+            while p > exp_neg:
+                k += 1
+                p *= next_uniform()
+            for _ in range(k):
+                riders.append(RiderRequest(len(riders), origin, dest, minute))
     return riders

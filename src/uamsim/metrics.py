@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
 from .network import VehicleSpec
 from .simulate import REVENUE, SimConfig, SimResult, TripRecord, run_simulation
@@ -242,8 +243,9 @@ class RefinementResult:
 def refine_fleet(cfg: SimConfig, seeds: int, n_min: int, n_max: int) -> RefinementResult:
     """Sweep fleet sizes, averaging metrics over a common seed list per size.
 
-    Seeds are ``cfg.seed + k`` for k in [0, seeds); reusing the same arrival
-    streams across sizes keeps adjacent rows comparable.  Returns the
+    Seeds are ``cfg.seed + k`` for k in [0, seeds).  Each seed's arrival
+    stream is sampled once, before the sweep, and every size runs on the
+    same streams, which keeps adjacent rows comparable.  Returns the
     smallest size whose seed-averaged mean wait meets the target, with the
     full sweep table either way.
     """
@@ -253,11 +255,12 @@ def refine_fleet(cfg: SimConfig, seeds: int, n_min: int, n_max: int) -> Refineme
         raise ValidationError(f"n_max {n_max} below n_min {n_min}")
     if seeds < 1:
         raise ValidationError(f"seeds must be at least 1, got {seeds}")
+    streams = [generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed + k) for k in range(seeds)]
     rows = []
     for fleet in range(n_min, n_max + 1):
         reports = [
-            compute_metrics(run_simulation(replace(cfg, fleet=fleet, seed=cfg.seed + k)))
-            for k in range(seeds)
+            compute_metrics(run_simulation(replace(cfg, fleet=fleet, seed=cfg.seed + k), riders))
+            for k, riders in enumerate(streams)
         ]
         mean_wait = sum(r.mean_wait for r in reports) / seeds
         rows.append(

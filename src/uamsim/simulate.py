@@ -188,7 +188,12 @@ class Simulation:
     ``reposition_idle``) and inspect intermediate state.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, riders: list[RiderRequest] | None = None):
+        """``riders`` is the arrival stream if it was sampled already: it must
+        equal ``generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)`` (unit
+        scenarios hand-write one over zero rates).  It is only read, so one
+        list can serve many runs.  ``None`` samples it here.
+        """
         if cfg.fleet < 1:
             raise ConfigError(f"fleet must be at least 1, got {cfg.fleet}")
         if cfg.t_sim <= 0:
@@ -222,7 +227,9 @@ class Simulation:
         ]
         self.origin_rate = [float(r) for r in cfg.rates.origin_rate]
 
-        self.all_riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
+        if riders is None:
+            riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
+        self.all_riders = riders
         self.arrivals_by_minute: list[list[RiderRequest]] = [[] for _ in range(cfg.t_sim)]
         for rider in self.all_riders:
             self.arrivals_by_minute[rider.arrival_min].append(rider)
@@ -472,9 +479,12 @@ class Simulation:
         )
 
 
-def run_simulation(cfg: SimConfig) -> SimResult:
-    """Execute one full run; identical configs give byte-identical results."""
-    return Simulation(cfg).run()
+def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> SimResult:
+    """Execute one full run; identical configs give byte-identical results.
+
+    ``riders`` is an arrival stream sampled beforehand, as for ``Simulation``.
+    """
+    return Simulation(cfg, riders).run()
 
 
 def write_trips_csv(result: SimResult, path: str | Path) -> None:

@@ -225,3 +225,22 @@ def test_non_integer_placement_node_exits_2(scenario_dir, tmp_path, capsys):
         "--minutes", "60",
     ) == EXIT_CONFIG
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", "abc", "seed must be an integer"),
+    ("reposition_enabled", "false", "reposition_enabled must be true or false"),
+    ("fleet", 3.7, "fleet must be an integer"),
+    ("seeds", True, "seeds must be an integer"),  # JSON true is an int to Python
+])
+def test_mistyped_top_level_field_exits_2(scenario_dir, tmp_path, capsys, field, value, message):
+    # each was once converted instead of refused: a traceback for the seed,
+    # "false" read as true, and a fleet silently truncated to 3
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc[field] = value
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    assert message in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from uamsim import (
     DemandRates,
     IngestionError,
     ODMatrix,
+    RiderRequest,
     ValidationError,
     compute_rates,
     expected_arrivals,
@@ -122,6 +125,43 @@ def test_expected_arrivals():
 def test_zero_rates_generate_nothing(net):
     rates = single_pair_rates(net, 0.0)
     assert generate_arrivals(rates, 100, seed=1) == []
+
+
+def knuth_oracle(rates: DemandRates, t_sim: int, seed: int) -> tuple[list[RiderRequest], int]:
+    """The arrival contract drawn one ``Generator.random()`` call per uniform.
+
+    Returns the riders and the number of uniforms used.
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    n = rates.per_min.shape[0]
+    riders, used = [], 0
+    for minute in range(t_sim):
+        for i in range(n):
+            for j in range(n):
+                rate = float(rates.per_min[i, j])
+                if i == j or rate <= 0.0:
+                    continue
+                k, p = 0, gen.random()
+                used += 1
+                while p > math.exp(-rate):
+                    k += 1
+                    p *= gen.random()
+                    used += 1
+                riders += [RiderRequest(len(riders) + m, i, j, minute) for m in range(k)]
+    return riders, used
+
+
+@pytest.mark.parametrize("case", ["single_pair_rate_5", "baseline"])
+def test_stream_equals_scalar_knuth_oracle(case, net, baseline_rates):
+    if case == "single_pair_rate_5":
+        # ~6 uniforms a minute, and nearly every draw runs the product
+        # loop: at seed 8 both 8192-uniform chunk boundaries fall inside one
+        rates, t_sim, min_used = single_pair_rates(net, 5.0), 3000, 2 * 8192
+    else:
+        rates, t_sim, min_used = baseline_rates, 300, 0
+    expected, used = knuth_oracle(rates, t_sim, seed=8)
+    assert used > min_used
+    assert generate_arrivals(rates, t_sim, seed=8) == expected
 
 
 def test_same_seed_reproduces_stream(baseline_rates):

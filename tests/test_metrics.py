@@ -123,9 +123,7 @@ def test_throughput_single_served_rider(net, spec):
     rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=40,
                     initial_placement="node:0")
-    sim = Simulation(cfg)
-    sim.all_riders = [RiderRequest(0, 0, 2, 0)]
-    sim.arrivals_by_minute[0].append(sim.all_riders[0])
+    sim = Simulation(cfg, riders=[RiderRequest(0, 0, 2, 0)])
     matrix = throughput_matrix(sim.run())
     assert matrix[0, 2] == 1
     assert matrix.sum() == 1
@@ -250,3 +248,22 @@ def test_refine_fleet_picks_smallest_passing(net, spec, baseline_rates):
     assert refined.feasible
     first_ok = next(row.fleet for row in refined.rows if row.wait_ok)
     assert refined.fleet == first_ok
+
+
+def test_refine_fleet_samples_each_seed_once(net, spec, baseline_rates, monkeypatch):
+    import uamsim.metrics
+    import uamsim.simulate
+    from uamsim import generate_arrivals
+
+    seeds_sampled = []
+
+    def counted(rates, t_sim, seed):
+        seeds_sampled.append(seed)
+        return generate_arrivals(rates, t_sim, seed)
+
+    for module in (uamsim.metrics, uamsim.simulate):
+        monkeypatch.setattr(module, "generate_arrivals", counted)
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=200, seed=4)
+    refined = refine_fleet(cfg, seeds=3, n_min=1, n_max=5)
+    assert len(refined.rows) == 5
+    assert seeds_sampled == [4, 5, 6]

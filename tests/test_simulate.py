@@ -19,6 +19,7 @@ from uamsim import (
     TripRecord,
     VehicleSpec,
     VehicleState,
+    generate_arrivals,
     run_simulation,
 )
 
@@ -33,12 +34,9 @@ def zero_rates(net) -> DemandRates:
 
 def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
     """Simulation over a zero-rate config with a hand-written arrival list."""
-    sim = Simulation(cfg)
-    assert not sim.all_riders, "scripted scenarios need a zero-rate config"
-    sim.all_riders = list(riders)
-    for r in riders:
-        sim.arrivals_by_minute[r.arrival_min].append(r)
-    return sim
+    assert not generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed), \
+        "scripted scenarios need a zero-rate config"
+    return Simulation(cfg, riders=list(riders))
 
 
 def place(sim: Simulation, vid: int, node: int) -> None:
@@ -396,6 +394,19 @@ def test_identical_configs_are_byte_identical(net, spec, baseline_rates):
     a = run_simulation(cfg)
     b = run_simulation(cfg)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["baseline", "backlog"])
+def test_presampled_riders_give_the_same_run(case, net, spec, baseline_rates):
+    if case == "baseline":
+        cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=5, t_sim=400, seed=123)
+    else:
+        cfg = backlog_config(seed=2, fleet=40, t_sim=90)
+    riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
+    assert riders
+    copy = list(riders)
+    assert run_simulation(cfg, riders).to_dict() == run_simulation(cfg).to_dict()
+    assert riders == copy  # the engine only reads the list
 
 
 def test_round_robin_spreads_initial_fleet(net, spec):
