@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +44,14 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a float other than nan or +-inf, which float() accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uamsim",
@@ -56,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base RNG seed")
         p.add_argument("--minutes", type=int, default=None, help="simulation horizon in minutes")
         p.add_argument("--fleet", type=int, default=None, help="fleet size override")
-        p.add_argument("--alpha", type=float, default=None, help="sizing safety factor")
+        p.add_argument("--alpha", type=finite_float, default=None, help="sizing safety factor")
         p.add_argument("--seeds", type=int, default=None, help="replicate count for averaging")
         return p
 
@@ -65,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("size-fleet", help="print the analytical sizing report as JSON"))
     common(sub.add_parser("simulate", help="run one simulation and write report/log files"))
     compare = common(sub.add_parser("compare", help="door-to-door cost/time table vs driving"))
-    compare.add_argument("--wait", type=float, default=None, help="assumed rider wait in minutes")
+    compare.add_argument("--wait", type=finite_float, default=None, help="assumed rider wait in minutes")
     sweep = common(sub.add_parser("sweep", help="sweep fleet sizes and pick the smallest passing one"))
     sweep.add_argument("--n-min", type=int, default=None, help="smallest fleet size (default 1)")
     sweep.add_argument("--n-max", type=int, default=None, help="largest fleet size (default 40)")

@@ -8,6 +8,7 @@ by the CLI override config fields, which override built-in defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         p = Path(rel)
         return p if p.is_absolute() else base / p
 
-    vehicle_doc = doc.get("vehicle", {})
+    vehicle_doc = _numeric_section(path, "vehicle", doc.get("vehicle", {}))
     if "altitude_band_ft" in vehicle_doc:
         vehicle_doc = dict(vehicle_doc)
         vehicle_doc["altitude_band_ft"] = tuple(vehicle_doc["altitude_band_ft"])
@@ -119,13 +120,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     cost = None
     if cost_doc is not None:
         try:
-            cost = CostParams(**cost_doc)
+            cost = CostParams(**_numeric_section(path, "cost", cost_doc))
         except TypeError as exc:
             raise ConfigError(f"{path}: bad cost section: {exc}") from exc
 
     cfg = ScenarioConfig(
-        nodes_path=_resolve(doc["nodes"]),
-        od_path=_resolve(doc["od"]),
+        nodes_path=_resolve(_scalar(path, doc, "nodes", str, None)),
+        od_path=_resolve(_scalar(path, doc, "od", str, None)),
         vehicle=vehicle,
         cost=cost,
         days_per_month=_scalar(path, doc, "days_per_month", int, 30),
@@ -138,7 +139,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         seeds=_scalar(path, doc, "seeds", int, 1),
         reposition_enabled=_scalar(path, doc, "reposition_enabled", bool, True),
         charge_after_reposition=_scalar(path, doc, "charge_after_reposition", bool, True),
-        initial_placement=str(doc.get("initial_placement", "round_robin")),
+        initial_placement=_scalar(path, doc, "initial_placement", str, "round_robin"),
         compare_wait_min=_scalar(path, doc, "compare_wait_min", float, 0.0),
     )
     _validate(cfg)
@@ -150,6 +151,7 @@ _SCALAR_KINDS = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
 }
 
 
@@ -160,11 +162,34 @@ def _scalar(path: Path, doc: dict, key: str, kind: type, default):
     int to Python), and an integer given for a float field is stored as a
     float.
     """
-    value = doc.get(key, default)
+    return kind(_checked(path, key, doc.get(key, default), kind))
+
+
+def _checked(path: Path, key: str, value, kind: type):
+    """``value`` if it is of ``kind``'s JSON type and, for a number, finite.
+
+    Python's json reads ``NaN``, ``Infinity`` and overflowing literals as
+    floats; no field of the model means anything by them.
+    """
     accepted, name = _SCALAR_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
-    return kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
+    return value
+
+
+def _numeric_section(path: Path, key: str, section) -> dict:
+    """``section`` if it is an object whose values are finite numbers or
+    lists of them.  The values are checked, not converted, so the config
+    echo shows them as written.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {key} must be a JSON object, got {section!r}")
+    for name, value in section.items():
+        for number in value if isinstance(value, list) else (value,):
+            _checked(path, f"{key}.{name}", number, float)
+    return section
 
 
 def _validate(cfg: ScenarioConfig) -> None:

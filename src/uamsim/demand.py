@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class DemandRates:
         return self.per_min.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class RiderRequest:
+class RiderRequest(NamedTuple):
     """One passenger's travel request as injected into the simulation."""
 
     rider_id: int

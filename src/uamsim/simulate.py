@@ -5,7 +5,7 @@ is the Poisson arrival stream, every tie-break is by lowest id, and flight
 durations are integer minute countdowns (taxi buffer followed by the
 ceiling of the airborne time).  Per minute the engine
 
-1. fires due state transitions (arrivals, charge completions),
+1. fires due state transitions (landings, charge completions),
 2. injects this minute's rider arrivals,
 3. dispatches: waiting riders board a co-located idle vehicle (pooling up
    to capacity on the identical OD pair) or summon the nearest idle one,
@@ -20,9 +20,23 @@ first ``capacity`` riders of its pair's queue, and repositioning reads the
 per-origin counts, so a minute costs time in proportion to the riders
 visited and the legs launched, not to the length of the queue.
 
-Vehicles charge for the full turnaround after every leg (the post-
-reposition charge can be disabled), and every leg flown is checked against
-the vehicle's range.
+A vehicle is IDLE, AIRBORNE or CHARGING.  An airborne vehicle carries the
+``kind`` of its leg, revenue or reposition (an empty summon is a reposition
+leg), and the kind decides which air-minute bucket a landing fills and
+whether ``end_state`` reads ``"flying"`` or ``"repositioning"``.  Vehicles
+charge for the full turnaround after every leg (the post-reposition charge
+can be disabled), and every leg flown is checked against the vehicle's
+range.
+
+A minute with no due transition and no arrival does no work.  A dispatch
+pass only ever removes idle aircraft, so a rider the previous minute's pass
+left waiting either found none at its origin, has help inbound, or found
+none anywhere it could be summoned from; the reposition pass that followed
+sent off every idle vehicle it could.  Without a landing or an arrival
+nothing has changed since, so a repeated dispatch pass and a repeated
+reposition pass are both no-ops.  Idle minutes are charged from
+``idle_since`` when a vehicle leaves the ground, so skipping a minute loses
+no accounting.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .demand import DemandRates, RiderRequest, generate_arrivals
 from .errors import ConfigError
@@ -44,13 +59,15 @@ REPOSITION = "reposition"
 
 class VehicleState(Enum):
     IDLE = "idle"
-    FLYING = "flying"
+    AIRBORNE = "airborne"
     CHARGING = "charging"
-    REPOSITIONING = "repositioning"
 
 
-@dataclass(frozen=True)
-class TripRecord:
+# end_state of a vehicle still airborne at the horizon, by leg kind
+_AIRBORNE_END_STATE = {REVENUE: "flying", REPOSITION: "repositioning"}
+
+
+class TripRecord(NamedTuple):
     """One flight leg as written to the audit log at launch time.
 
     ``arrive_min`` is the scheduled arrival; legs still airborne when the
@@ -66,8 +83,7 @@ class TripRecord:
     rider_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RiderOutcome:
+class RiderOutcome(NamedTuple):
     """A rider's lifecycle: blank board/dropoff minutes mean it never happened."""
 
     rider_id: int
@@ -78,8 +94,7 @@ class RiderOutcome:
     dropoff_min: int | None
 
 
-@dataclass(frozen=True)
-class VehicleStats:
+class VehicleStats(NamedTuple):
     """End-of-run accumulator snapshot; the five buckets sum to the horizon."""
 
     vehicle_id: int
@@ -148,16 +163,17 @@ class _Vehicle:
 
     Attributes:
         location: node id when on the ground, unchanged while airborne.
-        dest: target node while FLYING or REPOSITIONING.
-        depart_min / buffer_len / air_len: current leg bookkeeping.
+        kind / dest: leg kind (REVENUE or REPOSITION) and target node while
+            AIRBORNE.
+        depart_min / air_len: current leg bookkeeping.
         inbound_target: node a summoned/repositioning vehicle is committed
             to until it next goes idle; keeps a waiting rider from summoning
             help twice.
     """
 
     __slots__ = (
-        "id", "location", "state", "onboard", "dest", "depart_min",
-        "buffer_len", "air_len", "charge_start", "idle_since", "inbound_target",
+        "id", "location", "state", "kind", "onboard", "dest", "depart_min",
+        "air_len", "charge_start", "idle_since", "inbound_target",
         "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
     )
 
@@ -165,10 +181,10 @@ class _Vehicle:
         self.id = vid
         self.location = location
         self.state = VehicleState.IDLE
+        self.kind = REVENUE
         self.onboard: tuple[int, ...] = ()
         self.dest = -1
         self.depart_min = 0
-        self.buffer_len = 0
         self.air_len = 0
         self.charge_start = 0
         self.idle_since = 0
@@ -275,23 +291,23 @@ class Simulation:
     def fire_transitions(self, minute: int) -> None:
         for vid in sorted(self.due.pop(minute, ())):
             v = self.vehicles[vid]
-            if v.state is VehicleState.FLYING:
-                for rid in v.onboard:
-                    self.dropoff_min[rid] = minute
-                v.revenue_air_min += v.air_len
-                v.buffer_min += v.buffer_len
-                v.onboard = ()
+            if v.state is VehicleState.AIRBORNE:  # a landing
+                v.buffer_min += self.buffer
                 v.location = v.dest
-                self._start_charge(v, minute)
-            elif v.state is VehicleState.REPOSITIONING:
-                v.reposition_air_min += v.air_len
-                v.buffer_min += v.buffer_len
-                v.location = v.dest
-                if self.cfg.charge_after_reposition:
-                    self._start_charge(v, minute)
+                if v.kind == REVENUE:
+                    for rid in v.onboard:
+                        self.dropoff_min[rid] = minute
+                    v.onboard = ()
+                    v.revenue_air_min += v.air_len
                 else:
-                    self._go_idle(v, minute)
-            elif v.state is VehicleState.CHARGING:
+                    v.reposition_air_min += v.air_len
+                    if not self.cfg.charge_after_reposition:
+                        self._go_idle(v, minute)
+                        continue
+                v.state = VehicleState.CHARGING
+                v.charge_start = minute
+                self.due.setdefault(minute + self.turnaround, []).append(vid)
+            else:  # a charge ends
                 v.charge_min += self.turnaround
                 self._go_idle(v, minute)
 
@@ -350,16 +366,6 @@ class Simulation:
         self.idle_at[v.location].add(v.id)
         self.idle_count += 1
 
-    def _start_charge(self, v: _Vehicle, minute: int) -> None:
-        v.state = VehicleState.CHARGING
-        v.charge_start = minute
-        self.due.setdefault(minute + self.turnaround, []).append(v.id)
-
-    def _leave_idle(self, v: _Vehicle, minute: int) -> None:
-        v.idle_min += minute - v.idle_since
-        self.idle_at[v.location].discard(v.id)
-        self.idle_count -= 1
-
     def _nearest_idle(self, origin: int) -> int | None:
         """Lowest-id idle vehicle at the closest node with a feasible leg in."""
         for node in self.near_order[origin]:
@@ -389,16 +395,16 @@ class Simulation:
 
     def _launch(self, v: _Vehicle, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> None:
         """Take an idle vehicle off the ground on a leg to ``dest``."""
-        self._leave_idle(v, minute)
-        if kind == REVENUE:
-            v.state = VehicleState.FLYING
-        else:
-            v.state = VehicleState.REPOSITIONING
+        v.idle_min += minute - v.idle_since
+        self.idle_at[v.location].discard(v.id)
+        self.idle_count -= 1
+        v.state = VehicleState.AIRBORNE
+        v.kind = kind
+        if kind == REPOSITION:
             v.inbound_target = dest
         air = self.air_min[v.location][dest]
         v.dest = dest
         v.depart_min = minute
-        v.buffer_len = self.buffer
         v.air_len = air
         v.onboard = riders
         arrive_min = minute + self.buffer + air
@@ -408,12 +414,17 @@ class Simulation:
     # -- loop ---------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance exactly one minute."""
+        """Advance exactly one minute; an eventless one only moves the clock.
+
+        See the module docstring for why a minute with no due transition
+        and no arrival can skip all four phases.
+        """
         m = self.minute
-        self.fire_transitions(m)
-        self.inject(m)
-        self.dispatch_step(m)
-        self.reposition_idle(m)
+        if m in self.due or self.arrivals_by_minute[m]:
+            self.fire_transitions(m)
+            self.inject(m)
+            self.dispatch_step(m)
+            self.reposition_idle(m)
         self.minute = m + 1
 
     def counts(self) -> tuple[int, int, int, int]:
@@ -430,41 +441,28 @@ class Simulation:
         t_end = self.cfg.t_sim
         stats = []
         for v in self.vehicles:
+            end_state, end_location = v.state.value, v.location
             if v.state is VehicleState.IDLE:
                 v.idle_min += t_end - v.idle_since
             elif v.state is VehicleState.CHARGING:
                 v.charge_min += t_end - v.charge_start
             else:  # airborne at the horizon: buffer elapses first, then air
                 elapsed = t_end - v.depart_min
-                buffer_part = min(elapsed, v.buffer_len)
-                air_part = elapsed - buffer_part
+                buffer_part = min(elapsed, self.buffer)
                 v.buffer_min += buffer_part
-                if v.state is VehicleState.FLYING:
-                    v.revenue_air_min += air_part
+                if v.kind == REVENUE:
+                    v.revenue_air_min += elapsed - buffer_part
                 else:
-                    v.reposition_air_min += air_part
-            stats.append(
-                VehicleStats(
-                    vehicle_id=v.id,
-                    revenue_air_min=v.revenue_air_min,
-                    reposition_air_min=v.reposition_air_min,
-                    buffer_min=v.buffer_min,
-                    charge_min=v.charge_min,
-                    idle_min=v.idle_min,
-                    end_state=v.state.value,
-                    end_location=None if v.state in (VehicleState.FLYING, VehicleState.REPOSITIONING) else v.location,
-                )
-            )
+                    v.reposition_air_min += elapsed - buffer_part
+                end_state, end_location = _AIRBORNE_END_STATE[v.kind], None
+            stats.append(VehicleStats(
+                v.id, v.revenue_air_min, v.reposition_air_min, v.buffer_min,
+                v.charge_min, v.idle_min, end_state, end_location))
+        board_min = self.board_min.get
+        dropoff_min = self.dropoff_min.get
         outcomes = tuple(
-            RiderOutcome(
-                rider_id=r.rider_id,
-                origin=r.origin,
-                dest=r.dest,
-                arrival_min=r.arrival_min,
-                board_min=self.board_min.get(r.rider_id),
-                dropoff_min=self.dropoff_min.get(r.rider_id),
-            )
-            for r in self.all_riders
+            RiderOutcome(rid, origin, dest, arrival, board_min(rid), dropoff_min(rid))
+            for rid, origin, dest, arrival in self.all_riders
         )
         onboard_at_end = sum(len(v.onboard) for v in self.vehicles)
         return SimResult(

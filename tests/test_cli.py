@@ -244,3 +244,66 @@ def test_mistyped_top_level_field_exits_2(scenario_dir, tmp_path, capsys, field,
         "--minutes", "60",
     ) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", NAN),  # was exit 1, a traceback from robust_fleet
+    ("op_hours_per_day", INF),  # was exit 0 with 0 riders
+    ("pooling_q", -INF),
+    ("compare_wait_min", NAN),
+    ("vehicle.cruise_speed_mph", NAN),  # was exit 1
+    ("vehicle.max_range_mi", INF),
+    ("vehicle.optimal_leg_mi", NAN),
+    ("vehicle.op_cost_per_hr", INF),
+    ("vehicle.altitude_band_ft", [500.0, INF]),
+    ("cost.car_speed_mph", NAN),  # was exit 0
+    ("cost.op_cost_per_hr", INF),
+    ("cost.value_of_time_per_hr", NAN),
+    ("cost.car_cost_per_mi", -INF),
+    ("cost.circuity", INF),
+])
+def test_non_finite_number_exits_2(scenario_dir, tmp_path, capsys, field, value):
+    # Python's json reads NaN and Infinity; no field of the model means
+    # anything by them
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    section, _, key = field.rpartition(".")
+    (doc[section] if section else doc)[key] = value
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    assert f"{field} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("nodes", 5, "nodes must be a string"),  # was exit 1, a TypeError traceback
+    ("od", ["od.csv"], "od must be a string"),
+    ("initial_placement", 7, "initial_placement must be a string"),  # was read as "7"
+    ("vehicle", None, "vehicle must be a JSON object"),
+    ("vehicle", {"cruise_speed_mph": "fast"}, "vehicle.cruise_speed_mph must be a number"),
+    ("cost", {"car_speed_mph": True}, "cost.car_speed_mph must be a number"),
+])
+def test_mistyped_path_or_section_exits_2(scenario_dir, tmp_path, capsys, field, value, message):
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc[field] = value
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--alpha", "nan"),  # was exit 1, a traceback from robust_fleet
+    ("compare", "--wait", "inf"),
+])
+def test_non_finite_flag_exits_2(scenario_dir, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path / "out")
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "invalid finite_float value" in capsys.readouterr().err

@@ -103,6 +103,32 @@ def test_rider_airborne_at_horizon_counts_as_onboard(net, spec):
     assert v.end_state == "flying"
 
 
+@pytest.mark.parametrize("t_sim, buffer_min, air_min", [(3, 3, 0), (8, 5, 3)])
+def test_summoned_leg_airborne_at_horizon_reports_repositioning(net, spec, t_sim, buffer_min, air_min):
+    # OAK -> SFO empty summon: 5 buffer then 5 air; the horizon cuts it
+    # inside the buffer or inside the air minutes
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=t_sim,
+                    initial_placement="node:1")
+    result = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)]).run()
+    assert [t.kind for t in result.trips] == [REPOSITION]
+    v = result.vehicles[0]
+    assert v.end_state == "repositioning"
+    assert v.end_location is None
+    assert (v.buffer_min, v.reposition_air_min, v.revenue_air_min) == (buffer_min, air_min, 0)
+    assert v.idle_min == v.charge_min == 0
+    assert result.onboard_at_end == 0 and result.unserved == 1
+
+
+def test_records_are_immutable(net, spec):
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=40,
+                    initial_placement="node:0")
+    result = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)]).run()
+    with pytest.raises(AttributeError):
+        result.trips[0].arrive_min = 0
+    with pytest.raises(AttributeError):
+        result.riders[0].board_min = None
+
+
 # -- dispatch rules ------------------------------------------------------------
 
 def test_pooling_boards_capacity_then_leaves_fifth(net, spec):
