@@ -169,13 +169,19 @@ def _checked(path: Path, key: str, value, kind: type):
     """``value`` if it is of ``kind``'s JSON type and, for a number, finite.
 
     Python's json reads ``NaN``, ``Infinity`` and overflowing literals as
-    floats; no field of the model means anything by them.
+    floats, and integer literals of any length as ints; no field of the
+    model means anything by a number beyond the float range.
     """
     accepted, name = _SCALAR_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
     return value
 
 

@@ -253,6 +253,7 @@ NAN, INF = float("nan"), float("inf")
     ("alpha", NAN),  # was exit 1, a traceback from robust_fleet
     ("op_hours_per_day", INF),  # was exit 0 with 0 riders
     ("pooling_q", -INF),
+    pytest.param("alpha", 10**400, id="alpha-int-beyond-float-range"),
     ("compare_wait_min", NAN),
     ("vehicle.cruise_speed_mph", NAN),  # was exit 1
     ("vehicle.max_range_mi", INF),
