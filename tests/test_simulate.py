@@ -103,6 +103,69 @@ def test_rider_airborne_at_horizon_counts_as_onboard(net, spec):
     assert v.end_state == "flying"
 
 
+def assert_buckets_fill_horizon(result) -> None:
+    for v in result.vehicles:
+        total = v.revenue_air_min + v.reposition_air_min + v.buffer_min + v.charge_min + v.idle_min
+        assert total == result.config.t_sim
+
+
+@pytest.mark.parametrize("t_sim, served", [(19, True), (18, False)])
+def test_revenue_landing_at_the_horizon_is_not_served(net, spec, t_sim, served):
+    # SFO -> SJC lands at minute 18: inside a 19-minute day, at the edge of
+    # an 18-minute one
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=t_sim,
+                    initial_placement="node:0")
+    result = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)]).run()
+    rider = result.riders[0]
+    v = result.vehicles[0]
+    assert (v.buffer_min, v.revenue_air_min) == (5, 13)
+    if served:
+        assert rider.dropoff_min == 18
+        assert (result.served, result.onboard_at_end) == (1, 0)
+        assert v.end_state == "charging" and v.charge_min == 1
+    else:
+        assert rider.dropoff_min is None and rider.board_min == 0
+        assert (result.served, result.onboard_at_end) == (0, 1)
+        assert v.end_state == "flying" and v.end_location is None
+        assert v.charge_min == 0
+    assert result.unserved == 0
+    assert_buckets_fill_horizon(result)
+
+
+@pytest.mark.parametrize("t_sim", [19, 24, 28])
+def test_charge_at_the_horizon_counts_minutes_since_landing(net, spec, t_sim):
+    # lands at 18 and would charge until 28; a horizon at 28 still reads
+    # charging, with the whole turnaround counted
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=t_sim,
+                    initial_placement="node:0")
+    result = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)]).run()
+    v = result.vehicles[0]
+    assert v.end_state == "charging" and v.end_location == SJC
+    assert v.charge_min == t_sim - 18
+    assert v.idle_min == 0
+    assert_buckets_fill_horizon(result)
+
+
+@pytest.mark.parametrize("t_sim, buckets, end_state", [
+    # (buffer, reposition air, revenue air), end state
+    (3, (3, 0, 0), "repositioning"),
+    (8, (5, 3, 0), "repositioning"),
+    (10, (5, 5, 0), "repositioning"),  # lands at the horizon
+    (11, (6, 5, 0), "flying"),  # the rider boarded at 10, one minute of buffer flown
+])
+def test_reposition_without_charge_at_the_horizon(net, spec, t_sim, buckets, end_state):
+    # OAK -> SFO empty summon lands at 10 and, with no charge after a
+    # reposition leg, boards its rider at once
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=t_sim,
+                    initial_placement="node:1", charge_after_reposition=False)
+    result = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)]).run()
+    v = result.vehicles[0]
+    assert (v.buffer_min, v.reposition_air_min, v.revenue_air_min) == buckets
+    assert v.charge_min == v.idle_min == 0
+    assert v.end_state == end_state and v.end_location is None
+    assert_buckets_fill_horizon(result)
+
+
 @pytest.mark.parametrize("t_sim, buffer_min, air_min", [(3, 3, 0), (8, 5, 3)])
 def test_summoned_leg_airborne_at_horizon_reports_repositioning(net, spec, t_sim, buffer_min, air_min):
     # OAK -> SFO empty summon: 5 buffer then 5 air; the horizon cuts it
@@ -406,13 +469,22 @@ def test_queues_match_waiting_every_minute(net, spec, baseline_rates, case):
         assert len(sim.waiting) > 1000
 
 
-def test_conservation_holds_every_minute(net, spec, baseline_rates):
-    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17)
+@pytest.mark.parametrize("case", ["baseline", "backlog", "no_charge_after_reposition"])
+def test_conservation_holds_every_minute(net, spec, baseline_rates, case):
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17,
+                    charge_after_reposition=case != "no_charge_after_reposition")
+    if case == "backlog":
+        cfg = backlog_config(seed=5, fleet=60, t_sim=120)
     sim = Simulation(cfg)
     while sim.minute < cfg.t_sim:
         sim.step()
         generated, dropped, onboard, waiting = sim.counts()
         assert generated == dropped + onboard + waiting
+        # riders whose dropoff minute has passed are exactly the dropped ones
+        assert dropped == sum(1 for m in sim.dropoff_min.values() if m < sim.minute)
+        assert dropped + onboard == len(sim.board_min)
+    if case == "backlog":
+        assert waiting > 1000
 
 
 def test_identical_configs_are_byte_identical(net, spec, baseline_rates):
