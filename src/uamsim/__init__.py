@@ -61,7 +61,6 @@ from .simulate import (
     SimResult,
     Simulation,
     TripRecord,
-    VehicleState,
     VehicleStats,
     run_simulation,
     write_riders_csv,

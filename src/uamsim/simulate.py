@@ -5,7 +5,7 @@ is the Poisson arrival stream, every tie-break is by lowest id, and flight
 durations are integer minute countdowns (taxi buffer followed by the
 ceiling of the airborne time).  Per minute the engine
 
-1. fires due state transitions (landings, charge completions),
+1. returns aircraft whose leg and turnaround end this minute to the ground,
 2. injects this minute's rider arrivals,
 3. dispatches: waiting riders board a co-located idle vehicle (pooling up
    to capacity on the identical OD pair) or summon the nearest idle one,
@@ -20,23 +20,40 @@ first ``capacity`` riders of its pair's queue, and repositioning reads the
 per-origin counts, so a minute costs time in proportion to the riders
 visited and the legs launched, not to the length of the queue.
 
-A vehicle is IDLE, AIRBORNE or CHARGING.  An airborne vehicle carries the
-``kind`` of its leg, revenue or reposition (an empty summon is a reposition
-leg), and the kind decides which air-minute bucket a landing fills and
-whether ``end_state`` reads ``"flying"`` or ``"repositioning"``.  Vehicles
-charge for the full turnaround after every leg (the post-reposition charge
-can be disabled), and every leg flown is checked against the vehicle's
-range.
+Nothing can change a leg once it has taken off, so a leg is one event.
+Vehicles charge for the full turnaround after every leg (the
+post-reposition charge can be disabled), and every leg flown is checked
+against the vehicle's range.  At take-off ``_launch`` books the whole leg:
+its buffer, air and turnaround minutes go into the vehicle's buckets, each
+rider's dropoff is the landing minute, and the one scheduled event is the
+minute the vehicle is next idle.  A vehicle is therefore either idle, on
+its node's ground heap, or busy until a known minute.  Its leg ``kind``,
+revenue or reposition (an empty summon is a reposition leg), names the
+air-minute bucket and whether ``end_state`` reads ``"flying"`` or
+``"repositioning"``.
 
-A minute with no due transition and no arrival does no work.  A dispatch
-pass only ever removes idle aircraft, so a rider the previous minute's pass
-left waiting either found none at its origin, has help inbound, or found
-none anywhere it could be summoned from; the reposition pass that followed
-sent off every idle vehicle it could.  Without a landing or an arrival
-nothing has changed since, so a repeated dispatch pass and a repeated
-reposition pass are both no-ops.  Idle minutes are charged from
-``idle_since`` when a vehicle leaves the ground, so skipping a minute loses
-no accounting.
+Only the last leg of each vehicle can be under way at the horizon, and
+``_finalize`` clamps it.  Still airborne at ``t_sim`` (landing at or after
+it), the leg keeps the buffer-first split of the minutes it flew, loses
+the rest of its air minutes and its whole charge, and its riders count as
+onboard with a blank dropoff.  Charging at ``t_sim``, it loses the charge
+minutes past the horizon.
+
+The idle vehicles at a node form a ``heapq`` of their ids.  Every launch,
+whether boarding, summon or reposition, takes the lowest id at its node, so
+the heap yields the same vehicle a scan for the minimum would, whatever
+order vehicles came back in.
+
+A minute at which no vehicle comes back and no rider arrives does no work.
+A dispatch pass only ever removes idle aircraft, so a rider the previous
+minute's pass left waiting either found none at its origin, has help
+inbound, or found none anywhere it could be summoned from; the reposition
+pass that followed sent off every idle vehicle it could.  A landing into a
+charge is no event: nothing that dispatch or repositioning read changes
+until the vehicle is idle again.  So without a return or an arrival a
+repeated dispatch pass and a repeated reposition pass are both no-ops.
+Idle minutes are charged from ``free_min`` when a vehicle leaves the
+ground, so skipping a minute loses no accounting.
 """
 
 from __future__ import annotations
@@ -45,7 +62,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,12 +72,6 @@ from .network import RouteNetwork, VehicleSpec
 
 REVENUE = "revenue"
 REPOSITION = "reposition"
-
-
-class VehicleState(Enum):
-    IDLE = "idle"
-    AIRBORNE = "airborne"
-    CHARGING = "charging"
 
 
 # end_state of a vehicle still airborne at the horizon, by leg kind
@@ -161,33 +172,36 @@ class SimResult:
 class _Vehicle:
     """Mutable in-sim agent; collapsed into a VehicleStats snapshot at the end.
 
+    The buckets hold every booked minute of the legs flown so far, the last
+    one included in full; ``_finalize`` clamps that leg at the horizon.
+
     Attributes:
-        location: node id when on the ground, unchanged while airborne.
-        kind / dest: leg kind (REVENUE or REPOSITION) and target node while
-            AIRBORNE.
-        depart_min / air_len: current leg bookkeeping.
+        location: node id when idle; the last leg's destination once it
+            has taken off.
+        kind / onboard / air_len: the last leg's kind (REVENUE or
+            REPOSITION), riders and airborne minutes.
+        arrive_min: the last leg's landing minute; its riders are aboard
+            until then.
+        free_min: the minute the vehicle is (or was last) idle again.
         inbound_target: node a summoned/repositioning vehicle is committed
             to until it next goes idle; keeps a waiting rider from summoning
             help twice.
     """
 
     __slots__ = (
-        "id", "location", "state", "kind", "onboard", "dest", "depart_min",
-        "air_len", "charge_start", "idle_since", "inbound_target",
+        "id", "location", "kind", "onboard", "air_len", "arrive_min", "free_min",
+        "inbound_target",
         "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
     )
 
     def __init__(self, vid: int, location: int):
         self.id = vid
         self.location = location
-        self.state = VehicleState.IDLE
         self.kind = REVENUE
         self.onboard: tuple[int, ...] = ()
-        self.dest = -1
-        self.depart_min = 0
         self.air_len = 0
-        self.charge_start = 0
-        self.idle_since = 0
+        self.arrive_min = 0
+        self.free_min = 0
         self.inbound_target: int | None = None
         self.revenue_air_min = 0
         self.reposition_air_min = 0
@@ -230,6 +244,7 @@ class Simulation:
         self.n = n
         self.capacity = cfg.spec.capacity
         self.turnaround = cfg.spec.turnaround_min
+        self.reposition_turnaround = self.turnaround if cfg.charge_after_reposition else 0
         self.buffer = cfg.spec.buffer_min
         # integer airborne minutes per ordered pair
         self.air_min = [
@@ -253,9 +268,10 @@ class Simulation:
         self.vehicles = [
             _Vehicle(vid, self._initial_node(vid)) for vid in range(cfg.fleet)
         ]
-        self.idle_at: list[set[int]] = [set() for _ in range(n)]
+        # min-heaps of idle vehicle ids; appended in id order, so already heaps
+        self.idle_at: list[list[int]] = [[] for _ in range(n)]
         for v in self.vehicles:
-            self.idle_at[v.location].add(v.id)
+            self.idle_at[v.location].append(v.id)
         self.idle_count = cfg.fleet
 
         self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
@@ -265,7 +281,7 @@ class Simulation:
         ]
         self.waiting_at = [0] * n
         self.summoned: dict[int, int] = {}          # rider id -> vehicle id flying to help
-        self.due: dict[int, list[int]] = {}         # minute -> vehicle ids to transition
+        self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.trips: list[TripRecord] = []
         self.board_min: dict[int, int] = {}
         self.dropoff_min: dict[int, int] = {}
@@ -289,27 +305,16 @@ class Simulation:
     # -- per-minute phases ------------------------------------------------
 
     def fire_transitions(self, minute: int) -> None:
-        for vid in sorted(self.due.pop(minute, ())):
-            v = self.vehicles[vid]
-            if v.state is VehicleState.AIRBORNE:  # a landing
-                v.buffer_min += self.buffer
-                v.location = v.dest
-                if v.kind == REVENUE:
-                    for rid in v.onboard:
-                        self.dropoff_min[rid] = minute
-                    v.onboard = ()
-                    v.revenue_air_min += v.air_len
-                else:
-                    v.reposition_air_min += v.air_len
-                    if not self.cfg.charge_after_reposition:
-                        self._go_idle(v, minute)
-                        continue
-                v.state = VehicleState.CHARGING
-                v.charge_start = minute
-                self.due.setdefault(minute + self.turnaround, []).append(vid)
-            else:  # a charge ends
-                v.charge_min += self.turnaround
-                self._go_idle(v, minute)
+        """Return the vehicles whose leg and turnaround end now to the ground."""
+        due = self.due.pop(minute, None)
+        if due is None:
+            return
+        vehicles, idle_at = self.vehicles, self.idle_at
+        for vid in due:
+            v = vehicles[vid]
+            v.inbound_target = None
+            heappush(idle_at[v.location], vid)
+        self.idle_count += len(due)
 
     def inject(self, minute: int) -> None:
         for rider in self.arrivals_by_minute[minute]:
@@ -334,10 +339,9 @@ class Simulation:
                 continue  # help already on its way
             if self.idle_count == 0:
                 break  # the last idle vehicle left during this pass
-            vid = self._nearest_idle(origin)
-            if vid is not None:
-                self._launch(self.vehicles[vid], REPOSITION, origin, (), minute)
-                self.summoned[rider.rider_id] = vid
+            node = self._nearest_idle(origin)
+            if node is not None:
+                self.summoned[rider.rider_id] = self._launch(node, REPOSITION, origin, (), minute)
         for rid in boarded:
             del self.waiting[rid]
 
@@ -350,30 +354,22 @@ class Simulation:
             key=lambda x: (-self.origin_rate[x], x),
         )
         for node in range(self.n):
-            if waiting_at[node] or not self.idle_at[node]:
+            if waiting_at[node] or not self.feasible[node][target]:
                 continue
-            if not self.feasible[node][target]:
-                continue
-            for vid in sorted(self.idle_at[node]):
-                self._launch(self.vehicles[vid], REPOSITION, target, (), minute)
+            pool = self.idle_at[node]
+            while pool:
+                self._launch(node, REPOSITION, target, (), minute)
 
     # -- helpers -----------------------------------------------------------
 
-    def _go_idle(self, v: _Vehicle, minute: int) -> None:
-        v.state = VehicleState.IDLE
-        v.idle_since = minute
-        v.inbound_target = None
-        self.idle_at[v.location].add(v.id)
-        self.idle_count += 1
-
     def _nearest_idle(self, origin: int) -> int | None:
-        """Lowest-id idle vehicle at the closest node with a feasible leg in."""
+        """The closest node with an idle vehicle and a feasible leg in."""
         for node in self.near_order[origin]:
             if not self.idle_at[node]:
                 continue
             if node != origin and not self.feasible[node][origin]:
                 continue
-            return min(self.idle_at[node])
+            return node
         return None
 
     def _board(self, rider: RiderRequest, minute: int) -> tuple[int, ...]:
@@ -386,38 +382,53 @@ class Simulation:
         queue = self.queue[rider.origin][rider.dest]
         group = tuple(queue.popleft().rider_id for _ in range(min(self.capacity, len(queue))))
         self.waiting_at[rider.origin] -= len(group)
-        v = self.vehicles[min(self.idle_at[rider.origin])]
-        self._launch(v, REVENUE, rider.dest, group, minute)
+        self._launch(rider.origin, REVENUE, rider.dest, group, minute)
         for rid in group:
             self.board_min[rid] = minute
             self.summoned.pop(rid, None)
         return group
 
-    def _launch(self, v: _Vehicle, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> None:
-        """Take an idle vehicle off the ground on a leg to ``dest``."""
-        v.idle_min += minute - v.idle_since
-        self.idle_at[v.location].discard(v.id)
+    def _launch(self, origin: int, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> int:
+        """Fly the lowest-id idle vehicle at ``origin`` to ``dest``; return its id.
+
+        The whole leg is booked now: buffer, air and turnaround minutes,
+        the riders' dropoff, and the minute the vehicle is idle again.
+        """
+        vid = heappop(self.idle_at[origin])
         self.idle_count -= 1
-        v.state = VehicleState.AIRBORNE
-        v.kind = kind
-        if kind == REPOSITION:
-            v.inbound_target = dest
-        air = self.air_min[v.location][dest]
-        v.dest = dest
-        v.depart_min = minute
-        v.air_len = air
-        v.onboard = riders
+        v = self.vehicles[vid]
+        v.idle_min += minute - v.free_min
+        air = self.air_min[origin][dest]
         arrive_min = minute + self.buffer + air
-        self.due.setdefault(arrive_min, []).append(v.id)
-        self.trips.append(TripRecord(v.id, kind, v.location, dest, minute, arrive_min, riders))
+        v.buffer_min += self.buffer
+        if kind == REVENUE:
+            v.revenue_air_min += air
+            turnaround = self.turnaround
+            dropoff_min = self.dropoff_min
+            for rid in riders:
+                dropoff_min[rid] = arrive_min
+        else:
+            v.reposition_air_min += air
+            v.inbound_target = dest
+            turnaround = self.reposition_turnaround
+        v.charge_min += turnaround
+        v.location = dest
+        v.kind = kind
+        v.onboard = riders
+        v.air_len = air
+        v.arrive_min = arrive_min
+        v.free_min = free_min = arrive_min + turnaround
+        self.due.setdefault(free_min, []).append(vid)
+        self.trips.append(TripRecord(vid, kind, origin, dest, minute, arrive_min, riders))
+        return vid
 
     # -- loop ---------------------------------------------------------------
 
     def step(self) -> None:
         """Advance exactly one minute; an eventless one only moves the clock.
 
-        See the module docstring for why a minute with no due transition
-        and no arrival can skip all four phases.
+        See the module docstring for why a minute at which no vehicle comes
+        back and no rider arrives can skip all four phases.
         """
         m = self.minute
         if m in self.due or self.arrivals_by_minute[m]:
@@ -428,9 +439,14 @@ class Simulation:
         self.minute = m + 1
 
     def counts(self) -> tuple[int, int, int, int]:
-        """(generated, dropped_off, onboard, waiting); conserved every minute."""
-        onboard = sum(len(v.onboard) for v in self.vehicles)
-        return self.generated_so_far, len(self.dropoff_min), onboard, len(self.waiting)
+        """(generated, dropped_off, onboard, waiting); conserved every minute.
+
+        Riders are aboard until their leg lands: a landing at the current
+        minute has not happened yet.
+        """
+        minute = self.minute
+        onboard = sum(len(v.onboard) for v in self.vehicles if v.arrive_min >= minute)
+        return self.generated_so_far, len(self.board_min) - onboard, onboard, len(self.waiting)
 
     def run(self) -> SimResult:
         while self.minute < self.cfg.t_sim:
@@ -438,40 +454,49 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> SimResult:
+        """Clamp each vehicle's last leg at the horizon and snapshot the run."""
         t_end = self.cfg.t_sim
+        dropoff = self.dropoff_min
+        onboard_at_end = 0
         stats = []
         for v in self.vehicles:
-            end_state, end_location = v.state.value, v.location
-            if v.state is VehicleState.IDLE:
-                v.idle_min += t_end - v.idle_since
-            elif v.state is VehicleState.CHARGING:
-                v.charge_min += t_end - v.charge_start
-            else:  # airborne at the horizon: buffer elapses first, then air
-                elapsed = t_end - v.depart_min
+            end_location = v.location
+            if v.arrive_min >= t_end:  # airborne: buffer elapses first, then air
+                elapsed = t_end - (v.arrive_min - self.buffer - v.air_len)
                 buffer_part = min(elapsed, self.buffer)
-                v.buffer_min += buffer_part
+                unflown = v.air_len - (elapsed - buffer_part)
+                v.buffer_min -= self.buffer - buffer_part
                 if v.kind == REVENUE:
-                    v.revenue_air_min += elapsed - buffer_part
+                    v.revenue_air_min -= unflown
+                    for rid in v.onboard:
+                        del dropoff[rid]
+                    onboard_at_end += len(v.onboard)
                 else:
-                    v.reposition_air_min += elapsed - buffer_part
+                    v.reposition_air_min -= unflown
+                v.charge_min -= v.free_min - v.arrive_min
                 end_state, end_location = _AIRBORNE_END_STATE[v.kind], None
+            elif v.free_min >= t_end:  # a charge that ends now is still under way
+                v.charge_min -= v.free_min - t_end
+                end_state = "charging"
+            else:
+                v.idle_min += t_end - v.free_min
+                end_state = "idle"
             stats.append(VehicleStats(
                 v.id, v.revenue_air_min, v.reposition_air_min, v.buffer_min,
                 v.charge_min, v.idle_min, end_state, end_location))
         board_min = self.board_min.get
-        dropoff_min = self.dropoff_min.get
+        dropoff_min = dropoff.get
         outcomes = tuple(
             RiderOutcome(rid, origin, dest, arrival, board_min(rid), dropoff_min(rid))
             for rid, origin, dest, arrival in self.all_riders
         )
-        onboard_at_end = sum(len(v.onboard) for v in self.vehicles)
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
             riders=outcomes,
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(self.dropoff_min),
+            served=len(dropoff),
             onboard_at_end=onboard_at_end,
             unserved=len(self.waiting),
         )

@@ -18,7 +18,6 @@ from uamsim import (
     Simulation,
     TripRecord,
     VehicleSpec,
-    VehicleState,
     generate_arrivals,
     run_simulation,
 )
@@ -41,10 +40,21 @@ def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
 
 def place(sim: Simulation, vid: int, node: int) -> None:
     """Relocate an idle vehicle before the clock starts."""
-    v = sim.vehicles[vid]
-    sim.idle_at[v.location].discard(vid)
-    v.location = node
-    sim.idle_at[node].add(vid)
+    sim.vehicles[vid].location = node
+    rebuild_idle_heaps(sim)
+
+
+def rebuild_idle_heaps(sim: Simulation) -> None:
+    """Refill each node's idle heap from the vehicles not scheduled to return.
+
+    A sorted list is a valid heap.
+    """
+    busy = {vid for vids in sim.due.values() for vid in vids}
+    sim.idle_at = [
+        sorted(v.id for v in sim.vehicles if v.location == node and v.id not in busy)
+        for node in range(sim.n)
+    ]
+    sim.idle_count = sum(map(len, sim.idle_at))
 
 
 # -- degenerate and single-agent traces --------------------------------------
@@ -265,7 +275,7 @@ def test_lower_vehicle_id_wins_at_origin(net, spec):
     sim = scripted_sim(cfg, [RiderRequest(0, SFO, OAK, 0)])
     sim.step()
     assert sim.trips[0].vehicle_id == 0
-    assert sim.vehicles[1].state is VehicleState.IDLE
+    assert 1 in sim.idle_at[SFO]
 
 
 def test_rider_waits_when_no_vehicle(net, spec):
@@ -311,12 +321,8 @@ def test_reposition_prefers_higher_origin_rate(net, spec, baseline_rates):
     sim.origin_rate = [float(x) for x in baseline_rates.origin_rate]
     place(sim, 1, PAO)
     # vehicle 2 is mid-charge at OAK and comes free at minute 2
-    v2 = sim.vehicles[2]
-    sim.idle_at[v2.location].discard(2)
-    sim.idle_count -= 1
-    v2.state = VehicleState.CHARGING
-    v2.charge_start = 0
     sim.due.setdefault(2, []).append(2)
+    rebuild_idle_heaps(sim)
     sim.step()  # minute 0: riders summon vehicles 0 (to SFO) and 1 (to SJC)
     summons = {t.vehicle_id: t.dest for t in sim.trips}
     assert summons == {0: SFO, 1: SJC}
