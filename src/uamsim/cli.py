@@ -213,9 +213,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
-    if args.wait is not None:
-        cfg = replace(cfg, compare_wait_min=args.wait)
+    cfg = override_scenario(_load(args), compare_wait_min=args.wait)
     if cfg.cost is None:
         raise ValidationError("compare needs a 'cost' section in the scenario config")
     _, net, _, _ = build_world(cfg)

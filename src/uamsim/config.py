@@ -213,6 +213,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
+    if cfg.compare_wait_min < 0:
+        raise ConfigError(f"compare_wait_min must be nonnegative, got {cfg.compare_wait_min}")
 
 
 def override_scenario(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:

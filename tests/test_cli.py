@@ -308,3 +308,35 @@ def test_non_finite_flag_exits_2(scenario_dir, tmp_path, capsys, argv):
         run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path / "out")
     assert exit_info.value.code == EXIT_CONFIG
     assert "invalid finite_float value" in capsys.readouterr().err
+
+
+def write_compare_wait(scenario_dir, wait) -> None:
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["compare_wait_min"] = wait
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_negative_compare_wait_exits_2(scenario_dir, capsys, flag):
+    # both printed negative door-to-door times and exited 0; the flag
+    # bypassed the config checks
+    argv = ["compare", "--config", scenario_dir / "config.json"]
+    if flag:
+        argv += ["--wait", "-30"]
+    else:
+        write_compare_wait(scenario_dir, -30)
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "compare_wait_min must be nonnegative, got -30" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_zero_compare_wait_is_valid(scenario_dir, capsys, flag):
+    argv = ["compare", "--config", scenario_dir / "config.json"]
+    if flag:
+        argv += ["--wait", "0"]
+    else:
+        write_compare_wait(scenario_dir, 0)
+    assert run_cli(*argv) == EXIT_OK
+    assert "(assumed wait 0" in capsys.readouterr().out
