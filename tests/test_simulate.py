@@ -475,12 +475,7 @@ def test_queues_match_waiting_every_minute(net, spec, baseline_rates, case):
         assert len(sim.waiting) > 1000
 
 
-@pytest.mark.parametrize("case", ["baseline", "backlog", "no_charge_after_reposition"])
-def test_conservation_holds_every_minute(net, spec, baseline_rates, case):
-    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17,
-                    charge_after_reposition=case != "no_charge_after_reposition")
-    if case == "backlog":
-        cfg = backlog_config(seed=5, fleet=60, t_sim=120)
+def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
     sim = Simulation(cfg)
     while sim.minute < cfg.t_sim:
         sim.step()
@@ -489,8 +484,24 @@ def test_conservation_holds_every_minute(net, spec, baseline_rates, case):
         # riders whose dropoff minute has passed are exactly the dropped ones
         assert dropped == sum(1 for m in sim.dropoff_min.values() if m < sim.minute)
         assert dropped + onboard == len(sim.board_min)
-    if case == "backlog":
-        assert waiting > 1000
+    return sim
+
+
+def test_conservation_holds_every_minute(net, spec, baseline_rates):
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17)
+    assert_conserved_every_minute(cfg)
+
+
+def test_conservation_holds_every_minute_without_post_reposition_charge(net, spec, baseline_rates):
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17,
+                    charge_after_reposition=False)
+    sim = assert_conserved_every_minute(cfg)
+    assert any(t.kind == REPOSITION for t in sim.trips)
+
+
+def test_conservation_holds_every_minute_on_a_backlogged_day():
+    sim = assert_conserved_every_minute(backlog_config(seed=5, fleet=60, t_sim=120))
+    assert len(sim.waiting) > 1000
 
 
 def test_identical_configs_are_byte_identical(net, spec, baseline_rates):
