@@ -454,36 +454,41 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> SimResult:
-        """Clamp each vehicle's last leg at the horizon and snapshot the run."""
+        """Clamp each vehicle's last leg at the horizon and snapshot the run.
+
+        The clamp is applied to copies, so the engine's state is left as it
+        was and a second call gives the same result.
+        """
         t_end = self.cfg.t_sim
-        dropoff = self.dropoff_min
-        onboard_at_end = 0
+        aloft: list[int] = []  # riders of legs landing at or after the horizon
         stats = []
         for v in self.vehicles:
+            revenue, reposition, buffer_min = v.revenue_air_min, v.reposition_air_min, v.buffer_min
+            charge, idle = v.charge_min, v.idle_min
             end_location = v.location
             if v.arrive_min >= t_end:  # airborne: buffer elapses first, then air
                 elapsed = t_end - (v.arrive_min - self.buffer - v.air_len)
                 buffer_part = min(elapsed, self.buffer)
                 unflown = v.air_len - (elapsed - buffer_part)
-                v.buffer_min -= self.buffer - buffer_part
+                buffer_min -= self.buffer - buffer_part
                 if v.kind == REVENUE:
-                    v.revenue_air_min -= unflown
-                    for rid in v.onboard:
-                        del dropoff[rid]
-                    onboard_at_end += len(v.onboard)
+                    revenue -= unflown
+                    aloft += v.onboard
                 else:
-                    v.reposition_air_min -= unflown
-                v.charge_min -= v.free_min - v.arrive_min
+                    reposition -= unflown
+                charge -= v.free_min - v.arrive_min
                 end_state, end_location = _AIRBORNE_END_STATE[v.kind], None
             elif v.free_min >= t_end:  # a charge that ends now is still under way
-                v.charge_min -= v.free_min - t_end
+                charge -= v.free_min - t_end
                 end_state = "charging"
             else:
-                v.idle_min += t_end - v.free_min
+                idle += t_end - v.free_min
                 end_state = "idle"
             stats.append(VehicleStats(
-                v.id, v.revenue_air_min, v.reposition_air_min, v.buffer_min,
-                v.charge_min, v.idle_min, end_state, end_location))
+                v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
+        dropoff = dict(self.dropoff_min)
+        for rid in aloft:
+            del dropoff[rid]
         board_min = self.board_min.get
         dropoff_min = dropoff.get
         outcomes = tuple(
@@ -497,7 +502,7 @@ class Simulation:
             vehicles=tuple(stats),
             generated=len(self.all_riders),
             served=len(dropoff),
-            onboard_at_end=onboard_at_end,
+            onboard_at_end=len(aloft),
             unserved=len(self.waiting),
         )
 

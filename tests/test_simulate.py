@@ -504,6 +504,14 @@ def test_conservation_holds_every_minute_on_a_backlogged_day():
     assert len(sim.waiting) > 1000
 
 
+def test_second_run_call_gives_the_same_result(net, spec, baseline_rates):
+    # t_sim 300 leaves legs aloft and aircraft charging at the horizon
+    sim = Simulation(SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=8, t_sim=300, seed=1))
+    first = sim.run()
+    assert first.onboard_at_end > 0
+    assert sim.run().to_dict() == first.to_dict()
+
+
 def test_identical_configs_are_byte_identical(net, spec, baseline_rates):
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=5, t_sim=400, seed=123)
     a = run_simulation(cfg)
