@@ -512,6 +512,21 @@ def test_second_run_call_gives_the_same_result(net, spec, baseline_rates):
     assert sim.run().to_dict() == first.to_dict()
 
 
+def test_finalize_leaves_the_dropoff_ledger_whole():
+    cfg = backlog_config(seed=6, fleet=80, t_sim=100)
+    sim = Simulation(cfg)
+    result = sim.run()
+    aloft = {rid: t.arrive_min for t in result.trips
+             if t.kind == REVENUE and t.arrive_min >= cfg.t_sim for rid in t.rider_ids}
+    assert aloft
+    for rid, landing in aloft.items():
+        assert sim.dropoff_min[rid] == landing
+        assert result.riders[rid].dropoff_min is None
+    assert result.onboard_at_end == len(aloft)
+    assert result.served == sum(r.dropoff_min is not None for r in result.riders)
+    assert result.generated == result.served + result.onboard_at_end + result.unserved
+
+
 def test_identical_configs_are_byte_identical(net, spec, baseline_rates):
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=5, t_sim=400, seed=123)
     a = run_simulation(cfg)
