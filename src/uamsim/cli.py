@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from operator import attrgetter, countOf
 from pathlib import Path
 
 from .config import ScenarioConfig, build_world, load_scenario, override_scenario
@@ -31,7 +32,6 @@ from .metrics import (
 )
 from .sizing import size_fleet
 from .simulate import (
-    REPOSITION,
     REVENUE,
     SimConfig,
     run_simulation,
@@ -185,6 +185,7 @@ def cmd_simulate(args) -> int:
     write_waits_csv(result.waits(), out / "waits.csv")
     write_heatmap_csv(od.counts, net.codes, out / "heatmap_demand.csv")
     write_heatmap_csv(report.throughput, net.codes, out / "heatmap_served.csv")
+    revenue_trips = countOf(map(attrgetter("kind"), result.trips), REVENUE)
     write_report_json(
         {
             "config": replace(cfg, fleet=fleet).to_dict(),
@@ -197,8 +198,8 @@ def cmd_simulate(args) -> int:
                 "served": result.served,
                 "onboard_at_end": result.onboard_at_end,
                 "unserved": result.unserved,
-                "revenue_trips": sum(1 for t in result.trips if t.kind == REVENUE),
-                "reposition_trips": sum(1 for t in result.trips if t.kind == REPOSITION),
+                "revenue_trips": revenue_trips,
+                "reposition_trips": len(result.trips) - revenue_trips,
             },
         },
         out / "report.json",

@@ -175,5 +175,6 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
                 k += 1
                 p *= next_uniform()
             for _ in range(k):
-                riders.append(RiderRequest(len(riders), origin, dest, minute))
+                # tuple.__new__ skips the Python frame of RiderRequest.__new__
+                riders.append(tuple.__new__(RiderRequest, (len(riders), origin, dest, minute)))
     return riders

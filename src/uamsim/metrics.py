@@ -123,11 +123,9 @@ def check_utilization_band(u_air: float) -> bool:
 def throughput_matrix(result: SimResult) -> np.ndarray:
     """Dropped-off rider counts per ordered pair."""
     n = result.config.net.n
-    served = np.zeros((n, n), dtype=np.int64)
-    for r in result.riders:
-        if r.dropoff_min is not None:
-            served[r.origin, r.dest] += 1
-    return served
+    pairs = np.fromiter(
+        (r.origin * n + r.dest for r in result.riders if r.dropoff_min is not None), dtype=np.int64)
+    return np.bincount(pairs, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
 
 
 def load_factor(trips: Sequence[TripRecord], capacity: int) -> float:
@@ -287,8 +285,7 @@ def write_waits_csv(waits: Sequence[float], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["wait_min"])
-        for w in waits:
-            writer.writerow([w])
+        writer.writerows(zip(waits))
 
 
 def write_heatmap_csv(matrix: np.ndarray, codes: Sequence[str], path: str | Path) -> None:

@@ -54,6 +54,10 @@ until the vehicle is idle again.  So without a return or an arrival a
 repeated dispatch pass and a repeated reposition pass are both no-ops.
 Idle minutes are charged from ``free_min`` when a vehicle leaves the
 ground, so skipping a minute loses no accounting.
+
+Trip and rider records are built by ``tuple.__new__`` on their NamedTuple
+class, called from C, which skips the Python frame of the generated
+``__new__`` once per leg and per rider.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,6 +109,10 @@ class RiderOutcome(NamedTuple):
     arrival_min: int
     board_min: int | None
     dropoff_min: int | None
+
+
+_new_trip = partial(tuple.__new__, TripRecord)
+_new_outcome = partial(tuple.__new__, RiderOutcome)
 
 
 class VehicleStats(NamedTuple):
@@ -419,7 +429,7 @@ class Simulation:
         v.arrive_min = arrive_min
         v.free_min = free_min = arrive_min + turnaround
         self.due.setdefault(free_min, []).append(vid)
-        self.trips.append(TripRecord(vid, kind, origin, dest, minute, arrive_min, riders))
+        self.trips.append(_new_trip((vid, kind, origin, dest, minute, arrive_min, riders)))
         return vid
 
     # -- loop ---------------------------------------------------------------
@@ -486,22 +496,19 @@ class Simulation:
                 end_state = "idle"
             stats.append(VehicleStats(
                 v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
-        dropoff = dict(self.dropoff_min)
+        # generate_arrivals numbers riders by their place in the stream
+        ids = range(len(self.all_riders))
+        outcomes = list(map(_new_outcome, map(add, self.all_riders, zip(
+            map(self.board_min.get, ids), map(self.dropoff_min.get, ids)))))
         for rid in aloft:
-            del dropoff[rid]
-        board_min = self.board_min.get
-        dropoff_min = dropoff.get
-        outcomes = tuple(
-            RiderOutcome(rid, origin, dest, arrival, board_min(rid), dropoff_min(rid))
-            for rid, origin, dest, arrival in self.all_riders
-        )
+            outcomes[rid] = outcomes[rid]._replace(dropoff_min=None)
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
-            riders=outcomes,
+            riders=tuple(outcomes),
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(dropoff),
+            served=len(self.dropoff_min) - len(aloft),
             onboard_at_end=len(aloft),
             unserved=len(self.waiting),
         )
@@ -516,15 +523,13 @@ def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> 
 
 
 def write_trips_csv(result: SimResult, path: str | Path) -> None:
-    """Trip audit log; rider ids are ';'-joined in the last column."""
+    """Trip audit log in ``csv.writer``'s bytes; no field ever needs quoting."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vehicle_id", "kind", "origin", "dest", "depart_min", "arrive_min", "riders"])
-        for t in result.trips:
-            writer.writerow(
-                [t.vehicle_id, t.kind, t.origin, t.dest, t.depart_min, t.arrive_min,
-                 ";".join(str(r) for r in t.rider_ids)]
-            )
+        fh.write("vehicle_id,kind,origin,dest,depart_min,arrive_min,riders\r\n")
+        fh.writelines(
+            f"{vid},{kind},{origin},{dest},{depart},{arrive},{';'.join(map(str, rider_ids))}\r\n"
+            for vid, kind, origin, dest, depart, arrive, rider_ids in result.trips
+        )
 
 
 def write_riders_csv(result: SimResult, path: str | Path) -> None:
@@ -532,9 +537,4 @@ def write_riders_csv(result: SimResult, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rider_id", "origin", "dest", "arrival_min", "board_min", "dropoff_min"])
-        for r in result.riders:
-            writer.writerow(
-                [r.rider_id, r.origin, r.dest, r.arrival_min,
-                 "" if r.board_min is None else r.board_min,
-                 "" if r.dropoff_min is None else r.dropoff_min]
-            )
+        writer.writerows(result.riders)  # csv writes None as an empty cell
