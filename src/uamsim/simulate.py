@@ -470,7 +470,7 @@ class Simulation:
         was and a second call gives the same result.
         """
         t_end = self.cfg.t_sim
-        aloft: list[int] = []  # riders of legs landing at or after the horizon
+        aloft = 0  # riders of legs landing at or after the horizon
         stats = []
         for v in self.vehicles:
             revenue, reposition, buffer_min = v.revenue_air_min, v.reposition_air_min, v.buffer_min
@@ -483,7 +483,7 @@ class Simulation:
                 buffer_min -= self.buffer - buffer_part
                 if v.kind == REVENUE:
                     revenue -= unflown
-                    aloft += v.onboard
+                    aloft += len(v.onboard)
                 else:
                     reposition -= unflown
                 charge -= v.free_min - v.arrive_min
@@ -498,18 +498,18 @@ class Simulation:
                 v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
         # generate_arrivals numbers riders by their place in the stream
         ids = range(len(self.all_riders))
-        outcomes = list(map(_new_outcome, map(add, self.all_riders, zip(
-            map(self.board_min.get, ids), map(self.dropoff_min.get, ids)))))
-        for rid in aloft:
-            outcomes[rid] = outcomes[rid]._replace(dropoff_min=None)
+        # a landing at or after the horizon, by a leg still aloft, is blank
+        landed = {m: m for m in range(t_end)}.get
+        outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(
+            map(self.board_min.get, ids), map(landed, map(self.dropoff_min.get, ids))))))
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
-            riders=tuple(outcomes),
+            riders=outcomes,
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(self.dropoff_min) - len(aloft),
-            onboard_at_end=len(aloft),
+            served=len(self.dropoff_min) - aloft,
+            onboard_at_end=aloft,
             unserved=len(self.waiting),
         )
 
