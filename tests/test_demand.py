@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uamsim import (
     DemandRates,
@@ -18,6 +20,8 @@ from uamsim import (
     generate_arrivals,
     load_od_csv,
 )
+
+from uamsim import demand
 
 from conftest import single_pair_rates
 
@@ -151,17 +155,63 @@ def knuth_oracle(rates: DemandRates, t_sim: int, seed: int) -> tuple[list[RiderR
     return riders, used
 
 
-@pytest.mark.parametrize("case", ["single_pair_rate_5", "baseline"])
-def test_stream_equals_scalar_knuth_oracle(case, net, baseline_rates):
+def _oracle_case(case, net, baseline_rates):
+    """(rates, t_sim, min_used) for one named oracle case."""
     if case == "single_pair_rate_5":
         # ~6 uniforms a minute, and nearly every draw runs the product
         # loop: at seed 8 both 8192-uniform chunk boundaries fall inside one
-        rates, t_sim, min_used = single_pair_rates(net, 5.0), 3000, 2 * 8192
-    else:
-        rates, t_sim, min_used = baseline_rates, 300, 0
+        return single_pair_rates(net, 5.0), 3000, 2 * 8192
+    if case == "baseline":
+        return baseline_rates, 300, 0
+    if case == "hot_pair_beside_cold":
+        # one pair at 1.0/min among the baseline's pairs below 0.02/min
+        per_min = baseline_rates.per_min.copy()
+        per_min[0, 2] = 1.0
+        return DemandRates(per_min=per_min), 300, 0
+    if case == "random_5_node":
+        rng = np.random.default_rng(17)
+        per_min = rng.uniform(0.0, 3.0, size=(5, 5))
+        per_min[rng.random((5, 5)) < 0.3] = 0.0
+        np.fill_diagonal(per_min, 0.0)
+        return DemandRates(per_min=per_min), 200, 0
+    assert case == "t_sim_1"
+    return baseline_rates, 1, 0
+
+
+ORACLE_CASES = ["single_pair_rate_5", "baseline", "hot_pair_beside_cold", "random_5_node", "t_sim_1"]
+
+
+# each case at the default chunk size, then with chunks of 1, 2 and 7
+# uniforms, so that products cross many chunk edges
+@pytest.mark.parametrize(
+    "case, chunk",
+    [(case, chunk) for chunk in (None, 1, 2, 7) for case in ORACLE_CASES],
+    ids=[case if chunk is None else f"{case}-chunk{chunk}" for chunk in (None, 1, 2, 7) for case in ORACLE_CASES],
+)
+def test_stream_equals_scalar_knuth_oracle(case, chunk, net, baseline_rates, monkeypatch):
+    rates, t_sim, min_used = _oracle_case(case, net, baseline_rates)
+    if chunk is not None:
+        monkeypatch.setattr(demand, "_CHUNK", chunk)
     expected, used = knuth_oracle(rates, t_sim, seed=8)
     assert used > min_used
     assert generate_arrivals(rates, t_sim, seed=8) == expected
+
+
+@settings(deadline=None)
+@given(
+    cells=st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.02, 0.09, 0.4, 1.0, 3.0]), min_size=16, max_size=16),
+    n=st.integers(min_value=2, max_value=4),
+    t_sim=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    chunk=st.sampled_from([1, 2, 7, 8192]),
+)
+def test_stream_equals_oracle_on_random_matrices(cells, n, t_sim, seed, chunk):
+    per_min = np.array(cells[: n * n]).reshape(n, n)
+    np.fill_diagonal(per_min, 0.0)
+    rates = DemandRates(per_min=per_min)
+    with mock.patch.object(demand, "_CHUNK", chunk):
+        riders = generate_arrivals(rates, t_sim, seed)
+    assert riders == knuth_oracle(rates, t_sim, seed)[0]
 
 
 def test_same_seed_reproduces_stream(baseline_rates):
