@@ -7,10 +7,28 @@ Knuth's product-of-uniforms Poisson inversion over a single PCG64 uniform
 stream, so a (rates, horizon, seed) triple always reproduces the identical
 rider list on any platform.
 
-The sampler is one loop over a chunked uniform stream.  At these rates
-about 96% of draws are zero, and those end at the first uniform.  A stream
-depends only on (rates, horizon, seed), so a fleet sweep samples each seed
-once and hands the list to every run (see ``Simulation``'s ``riders``).
+The sampler never steps through the zero draws one at a time.  At these
+rates about 96% of draws are zero, and those end at their first uniform.
+Let ``floor`` be the smallest ``e^-rate`` over the positive-rate pairs: a
+uniform at or below it ends any draw it starts at zero, whichever pair that
+is.  So each fetched chunk of uniforms is compared with ``floor`` in numpy,
+and Python visits only the positions above it (8-9% of uniforms on the
+baseline and the stress scenario).  It keeps ``shift``, the count of
+uniforms that products have used so far: the uniform at stream position
+``pos`` starts draw ``j = pos - shift``, of pair ``j % P`` in minute
+``j // P`` for ``P`` positive-rate pairs, unless an earlier product used it.  A draw that does not end at zero
+multiplies the uniforms that follow it in the stream, across a chunk edge
+if need be, with the same float64 ``p *= u`` and ``p <= e^-rate`` tests as
+the one-draw-at-a-time loop.  The stream, the draw order and every float
+operation are those of that loop, so the riders are identical; the tests
+check this against a scalar oracle.  The scan's cost grows with the largest
+per-pair rate, because ``floor`` falls as it rises: one pair at 1.0/min
+beside cold pairs lets 63% of all uniforms through, and the sampler is
+then slower than a loop that steps through every draw.
+
+A stream depends only on (rates, horizon, seed), so a fleet sweep samples
+each seed once and hands the list to every run (see ``Simulation``'s
+``riders``).
 """
 
 from __future__ import annotations
@@ -18,7 +36,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,24 +174,55 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
         for j in range(n)
         if i != j and rates.per_min[i, j] > 0.0
     ]
-    gen = np.random.Generator(np.random.PCG64(seed))
-    # One endless uniform stream.  PCG64 gives the same sequence drawn in
-    # chunks as drawn one at a time, so the chunking only saves calls.
-    uniforms = chain.from_iterable(iter(lambda: gen.random(_CHUNK).tolist(), None))
-    next_uniform = uniforms.__next__
     riders: list[RiderRequest] = []
-    for minute in range(t_sim):
-        # zip takes the pair before the uniform, so it stops without
-        # drawing once the pairs run out
-        for (origin, dest, exp_neg), p in zip(pairs, uniforms):
-            if p <= exp_neg:  # a zero count, by far the most common draw
+    if not pairs:
+        return riders
+    n_pairs = len(pairs)
+    draws = n_pairs * t_sim
+    # a uniform at or below every e^-rate ends the draw it starts at zero
+    floor = min(exp_neg for _, _, exp_neg in pairs)
+    minutes = list(range(t_sim))  # one int per minute, shared by its riders
+    random = np.random.Generator(np.random.PCG64(seed)).random
+    # PCG64 gives the same sequence drawn in chunks as drawn one at a time,
+    # so the chunking only saves calls.  Draw j starts at stream position
+    # j + shift, where shift counts the uniforms products have used.
+    size = _CHUNK
+    chunk = random(size)
+    base = 0  # stream position of chunk[0]
+    shift = 0
+    free = 0  # first stream position no product has used
+    while free - shift < draws:
+        offsets = np.flatnonzero(chunk > floor)
+        crossed = False
+        for pos, p in zip((offsets + base).tolist(), chunk[offsets].tolist()):
+            if pos < free:  # already multiplied into an earlier product
+                continue
+            j = pos - shift
+            if j >= draws:
+                return riders
+            origin, dest, exp_neg = pairs[j % n_pairs]
+            if p <= exp_neg:  # a zero count
                 continue
             # Knuth inversion: multiply uniforms until the product drops to e^-rate
             k = 0
+            q = pos + 1 - base  # index in chunk of the next uniform
             while p > exp_neg:
+                if q == size:
+                    base += size
+                    chunk, q, crossed = random(size), 0, True
+                p *= chunk.item(q)
+                q += 1
                 k += 1
-                p *= next_uniform()
+            shift += k
+            free = base + q
+            minute = minutes[j // n_pairs]
             for _ in range(k):
                 # tuple.__new__ skips the Python frame of RiderRequest.__new__
                 riders.append(tuple.__new__(RiderRequest, (len(riders), origin, dest, minute)))
+            if crossed:  # the rest of the candidates belong to the old chunk
+                break
+        else:
+            base += size
+            free = base
+            chunk = random(size)
     return riders
