@@ -140,9 +140,14 @@ def load_factor(trips: Sequence[TripRecord], capacity: int) -> float:
     return sum(len(t.rider_ids) for t in revenue) / (capacity * len(revenue))
 
 
-def compute_metrics(result: SimResult) -> MetricsReport:
-    """Assemble the full report; degenerate zero-demand runs score all zeros."""
-    waits = result.waits()
+def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) -> MetricsReport:
+    """Assemble the full report; degenerate zero-demand runs score all zeros.
+
+    ``waits``, when given, must be ``result.waits()``; a caller that also
+    writes the waits passes the list it holds, so it is built once.
+    """
+    if waits is None:
+        waits = result.waits()
     if waits:
         mean_wait, p95 = wait_stats(waits)
     else:

@@ -109,6 +109,24 @@ def test_simulate_rerun_is_byte_identical(scenario_dir, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_simulate_builds_the_waits_once(scenario_dir, tmp_path, monkeypatch):
+    from uamsim.simulate import SimResult
+
+    calls = []
+    waits = SimResult.waits
+
+    def counted(self):
+        calls.append(self)
+        return waits(self)
+
+    monkeypatch.setattr(SimResult, "waits", counted)
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json",
+        "--out", tmp_path / "out", "--fleet", "12", "--seed", "5", "--minutes", "600",
+    ) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_simulate_single_vehicle_fails_wait_target(scenario_dir, tmp_path):
     out_dir = tmp_path / "out"
     assert run_cli(
