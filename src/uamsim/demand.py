@@ -13,18 +13,23 @@ Let ``floor`` be the smallest ``e^-rate`` over the positive-rate pairs: a
 uniform at or below it ends any draw it starts at zero, whichever pair that
 is.  So each fetched chunk of uniforms is compared with ``floor`` in numpy,
 and Python visits only the positions above it (8-9% of uniforms on the
-baseline and the stress scenario).  It keeps ``shift``, the count of
-uniforms that products have used so far: the uniform at stream position
-``pos`` starts draw ``j = pos - shift``, of pair ``j % P`` in minute
-``j // P`` for ``P`` positive-rate pairs, unless an earlier product used it.  A draw that does not end at zero
-multiplies the uniforms that follow it in the stream, across a chunk edge
-if need be, with the same float64 ``p *= u`` and ``p <= e^-rate`` tests as
-the one-draw-at-a-time loop.  The stream, the draw order and every float
-operation are those of that loop, so the riders are identical; the tests
-check this against a scalar oracle.  The scan's cost grows with the largest
-per-pair rate, because ``floor`` falls as it rises: one pair at 1.0/min
-beside cold pairs lets 63% of all uniforms through, and the sampler is
-then slower than a loop that steps through every draw.
+baseline and the stress scenario).  Draw ``j`` is pair ``j % P`` in minute
+``j // P`` for ``P`` positive-rate pairs.  Were there no products, the
+uniform at position ``q`` of a chunk would start draw ``start + q``; each
+uniform a product multiplies moves every later draw one position on, so it
+lowers ``start`` by one, and a position a product used starts no draw.  A
+draw that does not end at zero multiplies the uniforms that follow it in
+the stream, across a chunk edge if need be, with the same float64
+``p *= u`` and ``p <= e^-rate`` tests as a loop over every draw.  The
+stream, the draw order and every float operation are that loop's, so the
+riders are identical; the tests check this against a scalar oracle.  The
+scan records the draw of each rider, and the riders of each chunk are then
+built from those indices in C.
+
+The scan's cost grows with the largest per-pair rate, because ``floor``
+falls as it rises: one pair at 1.0/min beside cold pairs lets 63% of all
+uniforms through, and the sampler is then slower than a loop that steps
+through every draw.
 
 A stream depends only on (rates, horizon, seed), so a fleet sweep samples
 each seed once and hands the list to every run (see ``Simulation``'s
@@ -36,8 +41,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -154,6 +160,60 @@ def expected_arrivals(rates: DemandRates, t_sim: int) -> float:
     return rates.total_rate * t_sim
 
 
+def _rider_draws(exps: list[float], t_sim: int, seed: int) -> Iterator[list[int]]:
+    """Index of the draw that starts each rider, in stream order.
+
+    Draw ``j`` is pair ``j % len(exps)`` in minute ``j // len(exps)``; a
+    draw with count ``k`` appears ``k`` times.  The indices come in one
+    batch per chunk of uniforms.  See the module docstring.
+    """
+    n_pairs = len(exps)
+    draws = n_pairs * t_sim
+    # a uniform at or below every e^-rate ends the draw it starts at zero
+    floor = min(exps)
+    drawn: list[int] = []
+    random = np.random.Generator(np.random.PCG64(seed)).random
+    # PCG64 gives the same sequence drawn in chunks as drawn one at a time,
+    # so the chunking only saves calls
+    size = _CHUNK
+    chunk = random(size)
+    start = 0  # draw started by chunk[0], had no product used it
+    skip = 0  # leading uniforms of chunk that products used
+    while start + skip < draws:
+        offsets = np.flatnonzero(chunk > floor)
+        for q, p in zip(offsets.tolist(), chunk[offsets].tolist()):
+            if q < skip:
+                continue
+            j = start + q
+            if j >= draws:
+                yield drawn
+                return
+            exp_neg = exps[j % n_pairs]
+            if p <= exp_neg:  # a zero count
+                continue
+            # Knuth inversion: multiply uniforms until the product drops to e^-rate
+            first = chunk
+            q += 1
+            while p > exp_neg:
+                if q == size:
+                    chunk, q = random(size), 0
+                    start += size
+                p *= chunk.item(q)
+                q += 1
+                start -= 1  # every later draw starts one uniform further on
+                drawn.append(j)
+            skip = q
+            if chunk is not first:  # the rest of the candidates were multiplied
+                break
+        else:
+            yield drawn
+            drawn = []
+            chunk = random(size)
+            start += size
+            skip = 0
+    yield drawn
+
+
 def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRequest]:
     """Sample the full rider-arrival stream for one simulation run.
 
@@ -167,62 +227,19 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
         raise ValidationError(f"t_sim must be positive, got {t_sim}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    n = rates.per_min.shape[0]
-    pairs = [
-        (i, j, math.exp(-rates.per_min[i, j]))
-        for i in range(n)
-        for j in range(n)
-        if i != j and rates.per_min[i, j] > 0.0
-    ]
-    riders: list[RiderRequest] = []
-    if not pairs:
-        return riders
-    n_pairs = len(pairs)
-    draws = n_pairs * t_sim
-    # a uniform at or below every e^-rate ends the draw it starts at zero
-    floor = min(exp_neg for _, _, exp_neg in pairs)
+    positive = rates.per_min > 0.0
+    np.fill_diagonal(positive, False)
+    origins, dests = np.nonzero(positive)  # in lexicographic order
+    if not len(origins):
+        return []
+    exps = [math.exp(-rate) for rate in rates.per_min[origins, dests].tolist()]
     minutes = list(range(t_sim))  # one int per minute, shared by its riders
-    random = np.random.Generator(np.random.PCG64(seed)).random
-    # PCG64 gives the same sequence drawn in chunks as drawn one at a time,
-    # so the chunking only saves calls.  Draw j starts at stream position
-    # j + shift, where shift counts the uniforms products have used.
-    size = _CHUNK
-    chunk = random(size)
-    base = 0  # stream position of chunk[0]
-    shift = 0
-    free = 0  # first stream position no product has used
-    while free - shift < draws:
-        offsets = np.flatnonzero(chunk > floor)
-        crossed = False
-        for pos, p in zip((offsets + base).tolist(), chunk[offsets].tolist()):
-            if pos < free:  # already multiplied into an earlier product
-                continue
-            j = pos - shift
-            if j >= draws:
-                return riders
-            origin, dest, exp_neg = pairs[j % n_pairs]
-            if p <= exp_neg:  # a zero count
-                continue
-            # Knuth inversion: multiply uniforms until the product drops to e^-rate
-            k = 0
-            q = pos + 1 - base  # index in chunk of the next uniform
-            while p > exp_neg:
-                if q == size:
-                    base += size
-                    chunk, q, crossed = random(size), 0, True
-                p *= chunk.item(q)
-                q += 1
-                k += 1
-            shift += k
-            free = base + q
-            minute = minutes[j // n_pairs]
-            for _ in range(k):
-                # tuple.__new__ skips the Python frame of RiderRequest.__new__
-                riders.append(tuple.__new__(RiderRequest, (len(riders), origin, dest, minute)))
-            if crossed:  # the rest of the candidates belong to the old chunk
-                break
-        else:
-            base += size
-            free = base
-            chunk = random(size)
+    riders: list[RiderRequest] = []
+    for drawn in _rider_draws(exps, t_sim, seed):
+        drawn = np.array(drawn, dtype=np.int64)
+        pair = drawn % len(exps)
+        # tuple.__new__ from map skips the Python frame of RiderRequest.__new__
+        riders += map(tuple.__new__, repeat(RiderRequest), zip(
+            count(len(riders)), origins[pair].tolist(), dests[pair].tolist(),
+            map(minutes.__getitem__, (drawn // len(exps)).tolist())))
     return riders
