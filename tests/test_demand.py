@@ -232,6 +232,14 @@ def test_rider_fields_well_formed(baseline_rates):
     assert mins == sorted(mins)
 
 
+def test_riders_of_one_minute_share_one_int(baseline_rates):
+    # minutes past 256 are not cached by CPython; one object per minute
+    # keeps a day's rider list small
+    riders = generate_arrivals(baseline_rates, 1200, seed=5)
+    assert max(r.arrival_min for r in riders) > 256
+    assert len({id(r.arrival_min) for r in riders}) == len({r.arrival_min for r in riders})
+
+
 def test_single_pair_count_near_mean(net):
     # one run at lambda = 1.0 over 1200 minutes: 1200 +- 3*sqrt(1200)
     rates = single_pair_rates(net, 1.0)
