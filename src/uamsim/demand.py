@@ -235,8 +235,8 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
     exps = [math.exp(-rate) for rate in rates.per_min[origins, dests].tolist()]
     minutes = list(range(t_sim))  # one int per minute, shared by its riders
     riders: list[RiderRequest] = []
-    for drawn in _rider_draws(exps, t_sim, seed):
-        drawn = np.array(drawn, dtype=np.int64)
+    for batch in _rider_draws(exps, t_sim, seed):
+        drawn = np.array(batch, dtype=np.int64)
         pair = drawn % len(exps)
         # tuple.__new__ from map skips the Python frame of RiderRequest.__new__
         riders += map(tuple.__new__, repeat(RiderRequest), zip(
