@@ -164,7 +164,7 @@ def _oracle_case(case, net, baseline_rates):
     if case == "baseline":
         return baseline_rates, 300, 0
     if case == "hot_pair_beside_cold":
-        # one pair at 1.0/min among the baseline's pairs below 0.02/min
+        # one pair at 1.0/min beside the baseline's pairs, all below 0.09/min
         per_min = baseline_rates.per_min.copy()
         per_min[0, 2] = 1.0
         return DemandRates(per_min=per_min), 300, 0
