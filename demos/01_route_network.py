@@ -31,5 +31,5 @@ for i in range(net.n):
 print("\nfeasible ordered pairs:", int(net.feasible.sum()), "of", net.n * (net.n - 1))
 
 # shrink the range and the long SFO/OAK <-> SJC legs drop out
-short = VehicleSpec(max_range_mi=20.0, optimal_leg_mi=20.0)
+short = VehicleSpec(max_range_mi=20.0)
 print("feasible with a 20-mile range:", int(build_network(nodes, short).feasible.sum()))

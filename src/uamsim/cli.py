@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import attrgetter, countOf
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .metrics import (
     effective_cost_car,
     effective_cost_uam,
     refine_fleet,
+    throughput_matrix,
     time_savings,
     write_heatmap_csv,
     write_report_json,
@@ -99,18 +100,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+# scenario fields a run takes under the same name (fleet is passed per run)
+_SHARED_FIELDS = {f.name for f in fields(SimConfig)} & {f.name for f in fields(ScenarioConfig)}
+
+
 def _sim_config(cfg: ScenarioConfig, net, rates, fleet: int) -> SimConfig:
-    return SimConfig(
-        net=net,
-        spec=cfg.vehicle,
-        rates=rates,
-        fleet=fleet,
-        t_sim=cfg.t_sim_min,
-        seed=cfg.seed,
-        reposition_enabled=cfg.reposition_enabled,
-        charge_after_reposition=cfg.charge_after_reposition,
-        initial_placement=cfg.initial_placement,
-    )
+    shared = {name: getattr(cfg, name) for name in _SHARED_FIELDS}
+    return SimConfig(**{**shared, "fleet": fleet}, net=net, spec=cfg.vehicle, rates=rates,
+                     t_sim=cfg.t_sim_min)
 
 
 def _matrix_lines(matrix, codes, fmt) -> list[str]:
@@ -180,12 +177,13 @@ def cmd_simulate(args) -> int:
     result = run_simulation(_sim_config(cfg, net, rates, fleet))
     waits = result.waits()
     report = compute_metrics(result, waits=waits)
+    served = throughput_matrix(result)
 
     write_trips_csv(result, out / "trips.csv")
     write_riders_csv(result, out / "riders.csv")
     write_waits_csv(waits, out / "waits.csv")
     write_heatmap_csv(od.counts, net.codes, out / "heatmap_demand.csv")
-    write_heatmap_csv(report.throughput, net.codes, out / "heatmap_served.csv")
+    write_heatmap_csv(served, net.codes, out / "heatmap_served.csv")
     revenue_trips = countOf(map(attrgetter("kind"), result.trips), REVENUE)
     write_report_json(
         {
@@ -193,7 +191,7 @@ def cmd_simulate(args) -> int:
             "rng": RNG_NAME,
             "sizing": sizing.to_dict(),
             "refined_fleet": None if refined is None else refined.fleet,
-            "metrics": report.to_dict(),
+            "metrics": {**report.to_dict(), "throughput": served.tolist()},
             "simulation": {
                 "generated": result.generated,
                 "served": result.served,

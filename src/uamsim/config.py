@@ -3,34 +3,51 @@
 Paths inside the document are resolved relative to the document itself, so
 a scenario directory can be moved or copied wholesale.  Flag values passed
 by the CLI override config fields, which override built-in defaults.
-"""
 
-from __future__ import annotations
+The loader reads each field's type from ``dataclasses.fields``, so this
+module and ``network`` (``VehicleSpec``) do not postpone annotations: a
+field's ``type`` must be the type itself, not its name as a string.
+"""
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args
 
 from .demand import DemandRates, ODMatrix, compute_rates, load_od_csv
-from .errors import ConfigError
-from .metrics import CostParams
+from .errors import ConfigError, ValidationError
 from .network import GeoNode, RouteNetwork, VehicleSpec, build_network, load_nodes_csv
 
-_TOP_LEVEL_KEYS = {
-    "nodes", "od", "vehicle", "cost", "days_per_month", "op_hours_per_day",
-    "t_sim_min", "fleet", "alpha", "pooling_q", "seed", "seeds",
-    "reposition_enabled", "charge_after_reposition", "initial_placement",
-    "compare_wait_min",
-}
+
+@dataclass(frozen=True)
+class CostParams:
+    """Unit costs for the door-to-door comparison against driving."""
+
+    car_speed_mph: float
+    op_cost_per_hr: float = 605.0
+    value_of_time_per_hr: float = 40.0
+    car_cost_per_mi: float = 0.58
+    circuity: float = 1.3
+
+    def __post_init__(self):
+        for name in ("car_speed_mph", "op_cost_per_hr", "value_of_time_per_hr", "car_cost_per_mi"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+        if self.circuity < 1.0:
+            raise ValidationError(f"circuity must be at least 1.0, got {self.circuity}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario: every default materialized."""
+    """Fully resolved scenario: every default materialized.
 
-    nodes_path: Path
-    od_path: Path
+    The fields are the schema: each is one key of the JSON document, read
+    with its annotated type, and a key left out takes the default here.
+    """
+
+    nodes: Path
+    od: Path
     vehicle: VehicleSpec = field(default_factory=VehicleSpec)
     cost: CostParams | None = None
     days_per_month: int = 30
@@ -48,39 +65,7 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Echo for reports; any run is reproducible from this alone."""
-        return {
-            "nodes": str(self.nodes_path),
-            "od": str(self.od_path),
-            "vehicle": {
-                "cruise_speed_mph": self.vehicle.cruise_speed_mph,
-                "max_range_mi": self.vehicle.max_range_mi,
-                "optimal_leg_mi": self.vehicle.optimal_leg_mi,
-                "turnaround_min": self.vehicle.turnaround_min,
-                "buffer_min": self.vehicle.buffer_min,
-                "capacity": self.vehicle.capacity,
-                "op_cost_per_hr": self.vehicle.op_cost_per_hr,
-                "altitude_band_ft": list(self.vehicle.altitude_band_ft),
-            },
-            "cost": None if self.cost is None else {
-                "car_speed_mph": self.cost.car_speed_mph,
-                "op_cost_per_hr": self.cost.op_cost_per_hr,
-                "value_of_time_per_hr": self.cost.value_of_time_per_hr,
-                "car_cost_per_mi": self.cost.car_cost_per_mi,
-                "circuity": self.cost.circuity,
-            },
-            "days_per_month": self.days_per_month,
-            "op_hours_per_day": self.op_hours_per_day,
-            "t_sim_min": self.t_sim_min,
-            "fleet": self.fleet,
-            "alpha": self.alpha,
-            "pooling_q": self.pooling_q,
-            "seed": self.seed,
-            "seeds": self.seeds,
-            "reposition_enabled": self.reposition_enabled,
-            "charge_after_reposition": self.charge_after_reposition,
-            "initial_placement": self.initial_placement,
-            "compare_wait_min": self.compare_wait_min,
-        }
+        return {**asdict(self), "nodes": str(self.nodes), "od": str(self.od)}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -94,56 +79,51 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for required in ("nodes", "od"):
-        if required not in doc:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-
-    base = path.parent
-
-    def _resolve(rel: str) -> Path:
-        p = Path(rel)
-        return p if p.is_absolute() else base / p
-
-    vehicle_doc = _numeric_section(path, "vehicle", doc.get("vehicle", {}))
-    if "altitude_band_ft" in vehicle_doc:
-        vehicle_doc = dict(vehicle_doc)
-        vehicle_doc["altitude_band_ft"] = tuple(vehicle_doc["altitude_band_ft"])
-    try:
-        vehicle = VehicleSpec(**vehicle_doc)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad vehicle section: {exc}") from exc
-
-    cost_doc = doc.get("cost")
-    cost = None
-    if cost_doc is not None:
-        try:
-            cost = CostParams(**_numeric_section(path, "cost", cost_doc))
-        except TypeError as exc:
-            raise ConfigError(f"{path}: bad cost section: {exc}") from exc
-
-    cfg = ScenarioConfig(
-        nodes_path=_resolve(_scalar(path, doc, "nodes", str, None)),
-        od_path=_resolve(_scalar(path, doc, "od", str, None)),
-        vehicle=vehicle,
-        cost=cost,
-        days_per_month=_scalar(path, doc, "days_per_month", int, 30),
-        op_hours_per_day=_scalar(path, doc, "op_hours_per_day", float, 20.0),
-        t_sim_min=_scalar(path, doc, "t_sim_min", int, 1200),
-        fleet=None if doc.get("fleet") is None else _scalar(path, doc, "fleet", int, None),
-        alpha=_scalar(path, doc, "alpha", float, 2.0),
-        pooling_q=_scalar(path, doc, "pooling_q", float, 3.0),
-        seed=_scalar(path, doc, "seed", int, 0),
-        seeds=_scalar(path, doc, "seeds", int, 1),
-        reposition_enabled=_scalar(path, doc, "reposition_enabled", bool, True),
-        charge_after_reposition=_scalar(path, doc, "charge_after_reposition", bool, True),
-        initial_placement=_scalar(path, doc, "initial_placement", str, "round_robin"),
-        compare_wait_min=_scalar(path, doc, "compare_wait_min", float, 0.0),
-    )
+    cfg = _from_object(path, ScenarioConfig, doc, "")
     _validate(cfg)
     return cfg
+
+
+def _from_object(path: Path, cls: type, doc: dict, section: str):
+    """``cls`` built from the JSON object ``doc``, one key per field.
+
+    ``section`` names the object in messages ("" for the top level).  A key
+    that is no field of ``cls`` is refused, and so is a missing key whose
+    field has no default.
+    """
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{path}: unknown {section or 'config'} keys {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}" if section else f.name
+        if f.name in doc:
+            values[f.name] = _read(path, key, doc[f.name], f.type)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return cls(**values)
+
+
+def _read(path: Path, key: str, value, hint):
+    """The field ``key`` of annotated type ``hint``, read from its JSON value.
+
+    ``X | None`` accepts JSON ``null``; a dataclass is read from an object;
+    a ``Path`` from a string, relative to the document's directory.  A
+    bool is accepted only where a bool is asked for (JSON ``true`` is an int
+    to Python), and an integer given for a float field is stored as a float.
+    """
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: {key} must be a JSON object, got {value!r}")
+        return _from_object(path, kind, value, key)
+    if kind is Path:
+        rel = Path(_checked(path, key, value, str))
+        return rel if rel.is_absolute() else path.parent / rel
+    return kind(_checked(path, key, value, kind))
 
 
 # JSON value types each scalar kind accepts, and how a message names the kind
@@ -153,16 +133,6 @@ _SCALAR_KINDS = {
     bool: ((bool,), "true or false"),
     str: ((str,), "a string"),
 }
-
-
-def _scalar(path: Path, doc: dict, key: str, kind: type, default):
-    """Read one top-level scalar, refusing values of the wrong JSON type.
-
-    A bool is accepted only where a bool is asked for (JSON ``true`` is an
-    int to Python), and an integer given for a float field is stored as a
-    float.
-    """
-    return kind(_checked(path, key, doc.get(key, default), kind))
 
 
 def _checked(path: Path, key: str, value, kind: type):
@@ -185,19 +155,6 @@ def _checked(path: Path, key: str, value, kind: type):
     return value
 
 
-def _numeric_section(path: Path, key: str, section) -> dict:
-    """``section`` if it is an object whose values are finite numbers or
-    lists of them.  The values are checked, not converted, so the config
-    echo shows them as written.
-    """
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: {key} must be a JSON object, got {section!r}")
-    for name, value in section.items():
-        for number in value if isinstance(value, list) else (value,):
-            _checked(path, f"{key}.{name}", number, float)
-    return section
-
-
 def _validate(cfg: ScenarioConfig) -> None:
     if cfg.days_per_month <= 0 or cfg.op_hours_per_day <= 0:
         raise ConfigError("days_per_month and op_hours_per_day must be positive")
@@ -215,6 +172,22 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
     if cfg.compare_wait_min < 0:
         raise ConfigError(f"compare_wait_min must be nonnegative, got {cfg.compare_wait_min}")
+    placement_node(cfg.initial_placement)
+
+
+def placement_node(rule: str) -> int | None:
+    """The node every aircraft starts at under ``rule``: ``"node:<id>"``
+    gives ``<id>``, and ``"round_robin"`` (aircraft ``v`` at node ``v mod n``)
+    gives None.  Whether the node exists is left to the network's user.
+    """
+    if rule == "round_robin":
+        return None
+    if rule.startswith("node:"):
+        try:
+            return int(rule[len("node:"):])
+        except ValueError:
+            raise ConfigError(f"initial placement node in {rule!r} is not an integer") from None
+    raise ConfigError(f"unknown initial placement rule {rule!r}")
 
 
 def override_scenario(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
@@ -229,8 +202,8 @@ def override_scenario(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
 
 def build_world(cfg: ScenarioConfig) -> tuple[list[GeoNode], RouteNetwork, ODMatrix, DemandRates]:
     """Load the scenario's data files and derive the network and rates."""
-    nodes = load_nodes_csv(cfg.nodes_path)
+    nodes = load_nodes_csv(cfg.nodes)
     net = build_network(nodes, cfg.vehicle)
-    od = load_od_csv(cfg.od_path, net)
+    od = load_od_csv(cfg.od, net)
     rates = compute_rates(od, cfg.days_per_month, cfg.op_hours_per_day)
     return nodes, net, od, rates

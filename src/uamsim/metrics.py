@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
 from .network import VehicleSpec
@@ -29,26 +30,12 @@ LOAD_TARGET = 0.70
 
 
 @dataclass(frozen=True)
-class CostParams:
-    """Unit costs for the door-to-door comparison against driving."""
-
-    car_speed_mph: float
-    op_cost_per_hr: float = 605.0
-    value_of_time_per_hr: float = 40.0
-    car_cost_per_mi: float = 0.58
-    circuity: float = 1.3
-
-    def __post_init__(self):
-        for name in ("car_speed_mph", "op_cost_per_hr", "value_of_time_per_hr", "car_cost_per_mi"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.circuity < 1.0:
-            raise ValidationError(f"circuity must be at least 1.0, got {self.circuity}")
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Headline service metrics for one run plus target pass/fail flags."""
+    """Headline service metrics for one run plus target pass/fail flags.
+
+    The served rider count per pair is ``throughput_matrix``, built only by
+    a caller that writes it.
+    """
 
     mean_wait: float
     p95_wait: float
@@ -58,7 +45,6 @@ class MetricsReport:
     u_air: float
     u_air_incl_reposition: float
     u_cycle: float
-    throughput: np.ndarray
     load_factor: float
     wait_ok: bool
     u_air_ok: bool
@@ -66,9 +52,7 @@ class MetricsReport:
     load_ok: bool
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["throughput"] = self.throughput.tolist()
-        return d
+        return asdict(self)
 
 
 def wait_stats(waits: Sequence[float]) -> tuple[float, float]:
@@ -166,7 +150,6 @@ def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) ->
         u_air=u_air,
         u_air_incl_reposition=air_utilization(result, include_reposition=True),
         u_cycle=cycle_utilization(result),
-        throughput=throughput_matrix(result),
         load_factor=lf,
         wait_ok=check_wait_target(mean_wait),
         u_air_ok=check_utilization_band(u_air),

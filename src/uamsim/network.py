@@ -6,8 +6,8 @@ whenever its length fits inside the vehicle's maximum range.  All matrices
 are built once and never mutated; every function here is pure.
 """
 
-from __future__ import annotations
-
+# annotations are not postponed here: the scenario loader in config.py reads
+# each VehicleSpec field's type from dataclasses.fields
 import csv
 import math
 from dataclasses import dataclass
@@ -40,19 +40,22 @@ class GeoNode:
 class VehicleSpec:
     """Performance and cost constants of the aircraft operating the network.
 
-    ``altitude_band_ft`` is a recorded constant only; nothing in the model
-    depends on it.  ``optimal_leg_mi`` is likewise stored but drives no
-    behavior.
+    Cruise speed sets every flight time and the range sets which legs are
+    feasible.  Each leg takes ``buffer_min`` of taxi plus its airborne
+    minutes, then ``turnaround_min`` of charging; both are whole minutes of
+    the simulation clock.  ``capacity`` seats cap a pooled group.
+    ``op_cost_per_hr`` is echoed but read by no computation: the cost
+    comparison prices a mission from the scenario's ``cost.op_cost_per_hr``.
+    These fields are also the keys of a scenario's ``vehicle`` object, and
+    no other key is accepted there.
     """
 
     cruise_speed_mph: float = 150.0
     max_range_mi: float = 60.0
-    optimal_leg_mi: float = 20.0
     turnaround_min: int = 10
     buffer_min: int = 5
     capacity: int = 4
     op_cost_per_hr: float = 605.0
-    altitude_band_ft: tuple[float, float] = (500.0, 3000.0)
 
     def __post_init__(self):
         # a fractional turnaround or buffer would schedule transitions that
@@ -64,7 +67,6 @@ class VehicleSpec:
         positives = {
             "cruise_speed_mph": self.cruise_speed_mph,
             "max_range_mi": self.max_range_mi,
-            "optimal_leg_mi": self.optimal_leg_mi,
             "turnaround_min": self.turnaround_min,
             "buffer_min": self.buffer_min,
             "capacity": self.capacity,
@@ -73,8 +75,6 @@ class VehicleSpec:
         for name, value in positives.items():
             if value <= 0:
                 raise ValidationError(f"{name} must be strictly positive, got {value}")
-        if self.optimal_leg_mi > self.max_range_mi:
-            raise ValidationError("optimal_leg_mi cannot exceed max_range_mi")
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,6 @@ class RouteNetwork:
     @property
     def codes(self) -> list[str]:
         return [node.code for node in self.nodes]
-
-    def index_of(self, code: str) -> int:
-        for node in self.nodes:
-            if node.code == code:
-                return node.id
-        raise KeyError(code)
 
 
 def haversine_distance(a: GeoNode, b: GeoNode) -> float:

@@ -72,6 +72,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import placement_node
 from .demand import DemandRates, RiderRequest, generate_arrivals
 from .errors import ConfigError
 from .network import RouteNetwork, VehicleSpec
@@ -249,6 +250,9 @@ class Simulation:
         ]
         if bad:
             raise ConfigError(f"demand on infeasible routes (exceeds range): {bad}")
+        start = placement_node(cfg.initial_placement)
+        if start is not None and not 0 <= start < n:
+            raise ConfigError(f"initial placement node {start} out of range")
 
         self.cfg = cfg
         self.n = n
@@ -276,7 +280,7 @@ class Simulation:
             self.arrivals_by_minute[rider.arrival_min].append(rider)
 
         self.vehicles = [
-            _Vehicle(vid, self._initial_node(vid)) for vid in range(cfg.fleet)
+            _Vehicle(vid, vid % n if start is None else start) for vid in range(cfg.fleet)
         ]
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
@@ -297,20 +301,6 @@ class Simulation:
         self.dropoff_min: dict[int, int] = {}
         self.generated_so_far = 0
         self.minute = 0
-
-    def _initial_node(self, vid: int) -> int:
-        rule = self.cfg.initial_placement
-        if rule == "round_robin":
-            return vid % self.n
-        if rule.startswith("node:"):
-            try:
-                node = int(rule.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"initial placement node in {rule!r} is not an integer") from None
-            if not 0 <= node < self.n:
-                raise ConfigError(f"initial placement node {node} out of range")
-            return node
-        raise ConfigError(f"unknown initial placement rule {rule!r}")
 
     # -- per-minute phases ------------------------------------------------
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uamsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -275,9 +280,7 @@ NAN, INF = float("nan"), float("inf")
     ("compare_wait_min", NAN),
     ("vehicle.cruise_speed_mph", NAN),  # was exit 1
     ("vehicle.max_range_mi", INF),
-    ("vehicle.optimal_leg_mi", NAN),
     ("vehicle.op_cost_per_hr", INF),
-    ("vehicle.altitude_band_ft", [500.0, INF]),
     ("cost.car_speed_mph", NAN),  # was exit 0
     ("cost.op_cost_per_hr", INF),
     ("cost.value_of_time_per_hr", NAN),
@@ -298,6 +301,41 @@ def test_non_finite_number_exits_2(scenario_dir, tmp_path, capsys, field, value)
     assert f"{field} must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vehicle.altitude_band_ft", 500),  # was exit 1, a TypeError traceback
+    ("vehicle.altitude_band_ft", [500.0, INF]),  # fields nothing read, now removed
+    ("vehicle.optimal_leg_mi", NAN),
+    ("vehicle.wingspan_ft", 40.0),
+    ("cost.fuel_cost_per_mi", 0.1),
+])
+def test_unknown_key_exits_2(scenario_dir, tmp_path, capsys, field, value):
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    section, _, key = field.rpartition(".")
+    (doc[section] if section else doc)[key] = value
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    assert f"unknown {section or 'config'} keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distances", "demand", "size-fleet", "simulate", "compare", "sweep"])
+def test_bad_placement_rule_exits_2_from_every_command(scenario_dir, tmp_path, capsys, command):
+    # distances, demand, size-fleet and compare once exited 0: only a
+    # Simulation read the rule
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["initial_placement"] = "everywhere"
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        command, "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--minutes", "60",
+    ) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unknown initial placement rule 'everywhere'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("nodes", 5, "nodes must be a string"),  # was exit 1, a TypeError traceback
     ("od", ["od.csv"], "od must be a string"),
@@ -305,6 +343,8 @@ def test_non_finite_number_exits_2(scenario_dir, tmp_path, capsys, field, value)
     ("vehicle", None, "vehicle must be a JSON object"),
     ("vehicle", {"cruise_speed_mph": "fast"}, "vehicle.cruise_speed_mph must be a number"),
     ("cost", {"car_speed_mph": True}, "cost.car_speed_mph must be a number"),
+    # was refused only by a TypeError from comparing a list with 0
+    ("vehicle", {"cruise_speed_mph": [150.0]}, "vehicle.cruise_speed_mph must be a number"),
 ])
 def test_mistyped_path_or_section_exits_2(scenario_dir, tmp_path, capsys, field, value, message):
     doc = json.loads((scenario_dir / "config.json").read_text())
@@ -358,3 +398,66 @@ def test_zero_compare_wait_is_valid(scenario_dir, capsys, flag):
         write_compare_wait(scenario_dir, 0)
     assert run_cli(*argv) == EXIT_OK
     assert "(assumed wait 0" in capsys.readouterr().out
+
+
+# -- any mutated scenario runs or exits 2 -------------------------------------
+
+# every value the property may put in place of a JSON value of another type
+JSON_VALUES = ("text", 7, 2.5, True, None, [1.0], {"key": 1.0})
+BAD_NUMBERS = (-1, -0.5, 0, 0.0, NAN, 0.5)
+
+
+def json_type(value) -> type:
+    """The JSON type of a parsed value: an int is a number like a float."""
+    return float if type(value) is int else type(value)
+
+
+def small_baseline() -> dict:
+    """The baseline scenario with small work: fleet 8 and 2 seeds, its data
+    files named by absolute path."""
+    doc = json.loads((BASELINE_DIR / "config.json").read_text())
+    doc.update(nodes=str(BASELINE_DIR / doc["nodes"]), od=str(BASELINE_DIR / doc["od"]),
+               fleet=8, seeds=2)
+    return doc
+
+
+@st.composite
+def mutated_scenarios(draw) -> dict:
+    """The small baseline with one key, top-level or in a section, dropped,
+    joined by an unknown key, given a value of another JSON type, or (for a
+    number) set negative, zero, NaN or fractional."""
+    doc = small_baseline()
+    places = [(doc, key) for key in doc]
+    places += [(doc[name], key) for name in ("vehicle", "cost") for key in doc[name]]
+    obj, key = draw(st.sampled_from(places))
+    kinds = ["drop", "unknown", "swap"] + (["number"] if json_type(obj[key]) is float else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del obj[key]
+    elif kind == "unknown":
+        obj[key + "_extra"] = obj[key]
+    elif kind == "swap":
+        obj[key] = draw(st.sampled_from([v for v in JSON_VALUES if json_type(v) != json_type(obj[key])]))
+    else:
+        obj[key] = draw(st.sampled_from(BAD_NUMBERS))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=mutated_scenarios())
+def test_mutated_scenario_runs_or_exits_2(doc):
+    # an exception escaping main() is the traceback a user would see
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run_cli("simulate", "--config", config, "--out", out, "--minutes", "60")
+        if code == EXIT_OK:
+            sim = json.loads((out / "report.json").read_text())["simulation"]
+            assert sim["generated"] == sim["served"] + sim["onboard_at_end"] + sim["unserved"]
+        elif code == EXIT_INFEASIBLE:  # only a refined fleet can be out of bounds
+            assert doc.get("fleet") is None
+        else:
+            assert code == EXIT_CONFIG
+            assert stderr.getvalue().startswith("error: ")

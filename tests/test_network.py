@@ -95,7 +95,7 @@ def test_all_twelve_ordered_pairs_feasible_at_default_range(net):
 
 
 def test_short_range_knocks_out_long_pairs(bay_nodes):
-    short = VehicleSpec(max_range_mi=20.0, optimal_leg_mi=20.0)
+    short = VehicleSpec(max_range_mi=20.0)
     net = build_network(bay_nodes, short)
     sfo, oak, sjc, pao = range(4)
     assert not net.feasible[sfo, sjc] and not net.feasible[sjc, sfo]
@@ -136,9 +136,9 @@ def test_vehicle_spec_validation():
     with pytest.raises(ValidationError):
         VehicleSpec(cruise_speed_mph=0.0)
     with pytest.raises(ValidationError):
-        VehicleSpec(optimal_leg_mi=80.0)  # exceeds max range
-    with pytest.raises(ValidationError):
         VehicleSpec(capacity=-2)
+    with pytest.raises(ValidationError, match="turnaround_min must be an integer"):
+        VehicleSpec(turnaround_min=10.5)  # the loader refuses it too, but not every caller loads
 
 
 def test_load_nodes_csv_roundtrip(tmp_path, bay_nodes):

@@ -360,7 +360,7 @@ def test_skip_charge_after_reposition(net, spec):
 def test_demand_on_infeasible_route_rejected(bay_nodes, baseline_rates):
     from uamsim import build_network
 
-    short = VehicleSpec(max_range_mi=20.0, optimal_leg_mi=20.0)
+    short = VehicleSpec(max_range_mi=20.0)
     net20 = build_network(bay_nodes, short)
     cfg = SimConfig(net=net20, spec=short, rates=baseline_rates, fleet=4, t_sim=100)
     with pytest.raises(ConfigError, match="infeasible"):
@@ -371,6 +371,14 @@ def test_bad_placement_rule_rejected(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
                     initial_placement="everywhere")
     with pytest.raises(ConfigError):
+        Simulation(cfg)
+
+
+def test_placement_node_outside_network_rejected(net, spec):
+    # the rule parses, so only the network can tell that node 4 is missing
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
+                    initial_placement="node:4")
+    with pytest.raises(ConfigError, match="out of range"):
         Simulation(cfg)
 
 
