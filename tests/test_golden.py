@@ -2,7 +2,8 @@
 
 Each case hashes ``json.dumps(SimResult.to_dict(), sort_keys=True)`` with
 sha256; the CLI cases hash every file one ``simulate`` or ``sweep`` run
-writes, two of them through ``refine_fleet``.  A digest may change only in
+writes, two of them through ``refine_fleet``, and the stdout cases hash
+what the printing commands show on the shipped scenario.  A digest may change only in
 a change whose CHANGES.md entry says why.
 """
 
@@ -47,6 +48,14 @@ REFINED_CLI_DIGESTS = {
 }
 SWEEP_CLI_DIGESTS = {
     "sweep.csv": "14a5d5fd34b6abdf59e85345084f40ce329bf9fc9e2d0a1037e8f8668be83295",
+}
+# stdout of the commands that only print, keyed by their arguments
+STDOUT_DIGESTS = {
+    "distances": "3bf577c2fb0338e0264a3e7a893b63d2d487c460d3c069206a792de2a67390e0",
+    "demand": "ecfb230bc2cc268fee195f710521d311e25faae844da4ccc6c5b2e93af27e5a7",
+    "size-fleet": "1dfe78f92bbb73d0d56231127fd4ccb45cc360f20efe422a85f18bf6c088d692",
+    "compare": "e8bddefd9cf91c4a191eb1d73967365264ee2e5c813df9ce1817b7d36c048c58",
+    "compare --wait 3": "00fe01c7aa3ee889308550e4b683f1c5d03d3292dae757d21dbcf62e8cb1651d",
 }
 
 BASELINE_CASES = {
@@ -106,3 +115,10 @@ def test_simulate_refined_fleet_cli_files(tmp_path, monkeypatch):
 def test_sweep_cli_files(tmp_path, monkeypatch):
     argv = ["sweep", "--n-min", "1", "--n-max", "16", "--seeds", "3", "--minutes", "300"]
     assert run_in_copy(tmp_path, monkeypatch, argv) == SWEEP_CLI_DIGESTS
+
+
+@pytest.mark.parametrize("args", sorted(STDOUT_DIGESTS))
+def test_command_stdout(args, capsys):
+    assert main([*args.split(), "--config", str(BASELINE_DIR / "config.json")]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == STDOUT_DIGESTS[args]
