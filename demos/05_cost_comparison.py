@@ -29,9 +29,9 @@ print(f"{'pair':<10}{'air min':>9}{'air $':>8}{'car min':>9}{'car $':>8}{'saved'
 for i in range(net.n):
     for j in range(i + 1, net.n):
         d = float(net.dist[i, j])
-        mission = cfg.vehicle.buffer_min + 60.0 * d / cfg.vehicle.cruise_speed_mph
+        mission = cfg.vehicle.buffer_min + float(net.air_time[i, j])
         air_min = wait + mission
-        air_cost = effective_cost_uam(d, riders, wait, cfg.cost, cfg.vehicle)
+        air_cost = effective_cost_uam(mission, riders, wait, cfg.cost)
         car_min, car_cost = effective_cost_car(d, cfg.cost)
         saved = time_savings(car_min, air_min)
         print(f"{net.codes[i]}-{net.codes[j]:<6}{air_min:>9.1f}{air_cost:>8.2f}"

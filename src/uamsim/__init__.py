@@ -69,9 +69,7 @@ from .sizing import (
     SizingReport,
     avg_cycle_time,
     base_fleet,
-    cycle_time,
     cycles_per_hour,
-    flight_time,
     hourly_capacity,
     hourly_demand,
     robust_fleet,

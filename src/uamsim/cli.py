@@ -226,9 +226,9 @@ def cmd_compare(args) -> int:
     for i in range(net.n):
         for j in range(i + 1, net.n):
             d = float(net.dist[i, j])
-            mission = cfg.vehicle.buffer_min + 60.0 * d / cfg.vehicle.cruise_speed_mph
+            mission = cfg.vehicle.buffer_min + float(net.air_time[i, j])
             uam_door = wait + mission
-            uam_cost = effective_cost_uam(d, riders, wait, cfg.cost, cfg.vehicle)
+            uam_cost = effective_cost_uam(mission, riders, wait, cfg.cost)
             car_min, car_cost = effective_cost_car(d, cfg.cost)
             saved = time_savings(car_min, uam_door)
             pair = f"{net.codes[i]}-{net.codes[j]}"

@@ -63,6 +63,25 @@ class ScenarioConfig:
     initial_placement: str = "round_robin"
     compare_wait_min: float = 0.0
 
+    def __post_init__(self):
+        if self.days_per_month <= 0 or self.op_hours_per_day <= 0:
+            raise ConfigError("days_per_month and op_hours_per_day must be positive")
+        if self.t_sim_min <= 0:
+            raise ConfigError(f"t_sim_min must be positive, got {self.t_sim_min}")
+        if self.fleet is not None and self.fleet < 1:
+            raise ConfigError(f"fleet must be at least 1, got {self.fleet}")
+        if self.alpha <= 0:
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.pooling_q <= self.vehicle.capacity:
+            raise ConfigError(f"pooling_q must be in (0, {self.vehicle.capacity}]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.seeds < 1:
+            raise ConfigError(f"seeds must be at least 1, got {self.seeds}")
+        if self.compare_wait_min < 0:
+            raise ConfigError(f"compare_wait_min must be nonnegative, got {self.compare_wait_min}")
+        placement_node(self.initial_placement)
+
     def to_dict(self) -> dict:
         """Echo for reports; any run is reproducible from this alone."""
         return {**asdict(self), "nodes": str(self.nodes), "od": str(self.od)}
@@ -79,9 +98,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    cfg = _from_object(path, ScenarioConfig, doc, "")
-    _validate(cfg)
-    return cfg
+    return _from_object(path, ScenarioConfig, doc, "")
 
 
 def _from_object(path: Path, cls: type, doc: dict, section: str):
@@ -155,26 +172,6 @@ def _checked(path: Path, key: str, value, kind: type):
     return value
 
 
-def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.days_per_month <= 0 or cfg.op_hours_per_day <= 0:
-        raise ConfigError("days_per_month and op_hours_per_day must be positive")
-    if cfg.t_sim_min <= 0:
-        raise ConfigError(f"t_sim_min must be positive, got {cfg.t_sim_min}")
-    if cfg.fleet is not None and cfg.fleet < 1:
-        raise ConfigError(f"fleet must be at least 1, got {cfg.fleet}")
-    if cfg.alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {cfg.alpha}")
-    if not 0 < cfg.pooling_q <= cfg.vehicle.capacity:
-        raise ConfigError(f"pooling_q must be in (0, {cfg.vehicle.capacity}]")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.seeds < 1:
-        raise ConfigError(f"seeds must be at least 1, got {cfg.seeds}")
-    if cfg.compare_wait_min < 0:
-        raise ConfigError(f"compare_wait_min must be nonnegative, got {cfg.compare_wait_min}")
-    placement_node(cfg.initial_placement)
-
-
 def placement_node(rule: str) -> int | None:
     """The node every aircraft starts at under ``rule``: ``"node:<id>"``
     gives ``<id>``, and ``"round_robin"`` (aircraft ``v`` at node ``v mod n``)
@@ -193,11 +190,7 @@ def placement_node(rule: str) -> int | None:
 def override_scenario(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
     """Apply non-None CLI flag values on top of a loaded scenario."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    cfg = replace(cfg, **changes)
-    _validate(cfg)
-    return cfg
+    return replace(cfg, **changes) if changes else cfg
 
 
 def build_world(cfg: ScenarioConfig) -> tuple[list[GeoNode], RouteNetwork, ODMatrix, DemandRates]:

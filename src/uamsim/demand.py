@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
@@ -82,8 +83,6 @@ class DemandRates:
     """Per-minute Poisson arrival rates derived from an ODMatrix."""
 
     per_min: np.ndarray  # pax/minute, n x n, zero diagonal
-    days_per_month: int = 30
-    op_hours_per_day: float = 20.0
 
     @property
     def total_rate(self) -> float:
@@ -143,14 +142,28 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
 
 
 def compute_rates(od: ODMatrix, days_per_month: int = 30, op_hours_per_day: float = 20.0) -> DemandRates:
-    """Convert monthly counts to passengers per operating minute."""
+    """Convert monthly counts to passengers per operating minute.
+
+    A pair's rate may be at most ``-ln`` of the smallest normal float,
+    708.3964 pax/min.  Knuth inversion stops when the product of uniforms
+    reaches ``e^-rate``; past that bound ``e^-rate`` is subnormal, and past
+    ~745/min it is 0.0, so each count would stop only when the product
+    underflows, near 746, and the run would end silently wrong.
+    """
     if days_per_month <= 0:
         raise ValidationError(f"days_per_month must be positive, got {days_per_month}")
     if op_hours_per_day <= 0:
         raise ValidationError(f"op_hours_per_day must be positive, got {op_hours_per_day}")
     minutes_per_month = days_per_month * op_hours_per_day * 60.0
     per_min = od.counts.astype(np.float64) / minutes_per_month
-    return DemandRates(per_min=per_min, days_per_month=days_per_month, op_hours_per_day=op_hours_per_day)
+    beyond = np.argwhere(np.exp(-per_min) < sys.float_info.min)
+    if len(beyond):
+        i, j = beyond[0].tolist()
+        raise ValidationError(
+            f"pair ({i}, {j}) has {per_min[i, j]:.4f} pax/min, beyond the Poisson "
+            f"sampler's range of {-math.log(sys.float_info.min):.4f} pax/min per pair"
+        )
+    return DemandRates(per_min=per_min)
 
 
 def expected_arrivals(rates: DemandRates, t_sim: int) -> float:

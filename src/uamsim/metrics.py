@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +21,6 @@ import numpy as np
 from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
-from .network import VehicleSpec
 from .simulate import REVENUE, SimConfig, SimResult, TripRecord, run_simulation
 
 WAIT_TARGET_MIN = 10.0
@@ -161,18 +160,13 @@ def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) ->
 # -- door-to-door cost and time comparison ---------------------------------
 
 def effective_cost_uam(
-    trip_distance_mi: float,
-    riders_aboard: int,
-    wait_min: float,
-    params: CostParams,
-    spec: VehicleSpec,
+    mission_min: float, riders_aboard: int, wait_min: float, params: CostParams
 ) -> float:
     """Per-rider effective cost of a pooled air trip: an equal share of the
     mission's operating cost plus the rider's time valued at the hourly
     rate.  The mission clock runs from taxi buffer through touchdown."""
     if riders_aboard < 1:
         raise ValidationError(f"riders_aboard must be at least 1, got {riders_aboard}")
-    mission_min = spec.buffer_min + 60.0 * trip_distance_mi / spec.cruise_speed_mph
     operating_share = params.op_cost_per_hr * (mission_min / 60.0) / riders_aboard
     time_value = params.value_of_time_per_hr * (wait_min + mission_min) / 60.0
     return operating_share + time_value
@@ -294,12 +288,5 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep table, one row per fleet size."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["fleet", "mean_wait", "p95_wait", "served", "unserved",
-             "u_air", "u_cycle", "load_factor", "wait_ok"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row.fleet, row.mean_wait, row.p95_wait, row.served, row.unserved,
-                 row.u_air, row.u_cycle, row.load_factor, row.wait_ok]
-            )
+        writer.writerow([f.name for f in fields(SweepRow)])
+        writer.writerows(map(astuple, rows))

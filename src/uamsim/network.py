@@ -38,14 +38,14 @@ class GeoNode:
 
 @dataclass(frozen=True)
 class VehicleSpec:
-    """Performance and cost constants of the aircraft operating the network.
+    """Performance constants of the aircraft operating the network.
 
-    Cruise speed sets every flight time and the range sets which legs are
+    Cruise speed sets every flight time, which ``build_network`` computes
+    once into the network's ``air_time``, and the range sets which legs are
     feasible.  Each leg takes ``buffer_min`` of taxi plus its airborne
     minutes, then ``turnaround_min`` of charging; both are whole minutes of
-    the simulation clock.  ``capacity`` seats cap a pooled group.
-    ``op_cost_per_hr`` is echoed but read by no computation: the cost
-    comparison prices a mission from the scenario's ``cost.op_cost_per_hr``.
+    the simulation clock.  ``capacity`` seats cap a pooled group.  What an
+    hour of flying costs is the scenario's ``cost.op_cost_per_hr``.
     These fields are also the keys of a scenario's ``vehicle`` object, and
     no other key is accepted there.
     """
@@ -55,7 +55,6 @@ class VehicleSpec:
     turnaround_min: int = 10
     buffer_min: int = 5
     capacity: int = 4
-    op_cost_per_hr: float = 605.0
 
     def __post_init__(self):
         # a fractional turnaround or buffer would schedule transitions that
@@ -70,7 +69,6 @@ class VehicleSpec:
             "turnaround_min": self.turnaround_min,
             "buffer_min": self.buffer_min,
             "capacity": self.capacity,
-            "op_cost_per_hr": self.op_cost_per_hr,
         }
         for name, value in positives.items():
             if value <= 0:

@@ -164,19 +164,9 @@ class SimResult:
             "served": self.served,
             "onboard_at_end": self.onboard_at_end,
             "unserved": self.unserved,
-            "trips": [
-                [t.vehicle_id, t.kind, t.origin, t.dest, t.depart_min, t.arrive_min, list(t.rider_ids)]
-                for t in self.trips
-            ],
-            "riders": [
-                [r.rider_id, r.origin, r.dest, r.arrival_min, r.board_min, r.dropoff_min]
-                for r in self.riders
-            ],
-            "vehicles": [
-                [v.vehicle_id, v.revenue_air_min, v.reposition_air_min, v.buffer_min,
-                 v.charge_min, v.idle_min, v.end_state, v.end_location]
-                for v in self.vehicles
-            ],
+            "trips": [[*t[:-1], list(t.rider_ids)] for t in self.trips],
+            "riders": [list(r) for r in self.riders],
+            "vehicles": [list(v) for v in self.vehicles],
         }
 
 
@@ -526,5 +516,5 @@ def write_riders_csv(result: SimResult, path: str | Path) -> None:
     """Rider ledger; board/dropoff cells are blank when they never happened."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rider_id", "origin", "dest", "arrival_min", "board_min", "dropoff_min"])
+        writer.writerow(RiderOutcome._fields)
         writer.writerows(result.riders)  # csv writes None as an empty cell

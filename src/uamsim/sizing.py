@@ -38,29 +38,19 @@ class SizingReport:
         return asdict(self)
 
 
-def flight_time(distance_mi: float, cruise_speed_mph: float) -> float:
-    """Airborne minutes to cover a leg at cruise speed."""
-    if cruise_speed_mph <= 0:
-        raise ValidationError(f"cruise speed must be positive, got {cruise_speed_mph}")
-    if distance_mi < 0:
-        raise ValidationError(f"distance must be nonnegative, got {distance_mi}")
-    return 60.0 * distance_mi / cruise_speed_mph
-
-
-def cycle_time(distance_mi: float, spec: VehicleSpec) -> float:
-    """One full mission: airborne leg plus turnaround and taxi buffer."""
-    return flight_time(distance_mi, spec.cruise_speed_mph) + spec.turnaround_min + spec.buffer_min
-
-
 def avg_cycle_time(net: RouteNetwork, spec: VehicleSpec) -> float:
-    """Mean cycle time over all n*(n-1) ordered pairs."""
+    """Mean cycle time over all n*(n-1) ordered pairs.
+
+    One cycle is a full mission: the pair's airborne minutes (the network's
+    ``air_time``) plus turnaround and taxi buffer.
+    """
     if net.n < 2:
         raise SizingError("average cycle time needs at least two nodes")
     total = 0.0
     for i in range(net.n):
         for j in range(net.n):
             if i != j:
-                total += cycle_time(float(net.dist[i, j]), spec)
+                total += float(net.air_time[i, j]) + spec.turnaround_min + spec.buffer_min
     return total / (net.n * (net.n - 1))
 
 

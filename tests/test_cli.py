@@ -280,7 +280,6 @@ NAN, INF = float("nan"), float("inf")
     ("compare_wait_min", NAN),
     ("vehicle.cruise_speed_mph", NAN),  # was exit 1
     ("vehicle.max_range_mi", INF),
-    ("vehicle.op_cost_per_hr", INF),
     ("cost.car_speed_mph", NAN),  # was exit 0
     ("cost.op_cost_per_hr", INF),
     ("cost.value_of_time_per_hr", NAN),
@@ -306,6 +305,7 @@ def test_non_finite_number_exits_2(scenario_dir, tmp_path, capsys, field, value)
     ("vehicle.altitude_band_ft", [500.0, INF]),  # fields nothing read, now removed
     ("vehicle.optimal_leg_mi", NAN),
     ("vehicle.wingspan_ft", 40.0),
+    ("vehicle.op_cost_per_hr", 605.0),  # nothing read it; cost.op_cost_per_hr prices a mission
     ("cost.fuel_cost_per_mi", 0.1),
 ])
 def test_unknown_key_exits_2(scenario_dir, tmp_path, capsys, field, value):
@@ -318,6 +318,25 @@ def test_unknown_key_exits_2(scenario_dir, tmp_path, capsys, field, value):
         "--minutes", "60",
     ) == EXIT_CONFIG
     assert f"unknown {section or 'config'} keys ['{key}']" in capsys.readouterr().err
+
+
+# one hot pair at the default 30 days x 20 h: 708.389/min, then 708.417/min
+# against the bound -ln(smallest normal float) = 708.3964/min
+@pytest.mark.parametrize("monthly_pax, code", [(25_502_000, EXIT_OK), (25_503_000, EXIT_CONFIG)])
+def test_pair_rate_beyond_sampler_range_exits_2(scenario_dir, tmp_path, capsys, monthly_pax, code):
+    # past the bound e^-rate is subnormal; past ~745/min it is 0.0 and every
+    # count stopped near 746, a run that ended silently wrong
+    (scenario_dir / "od.csv").write_text(f"origin,dest,monthly_pax\nSFO,OAK,{monthly_pax}\n")
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        "--fleet", "4", "--minutes", "3",
+    ) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert "pair (0, 1) has 708.4167 pax/min, beyond the Poisson sampler's range" in err
+    else:
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["simulation"]["generated"] > 3 * 600
 
 
 @pytest.mark.parametrize("command", ["distances", "demand", "size-fleet", "simulate", "compare", "sweep"])

@@ -32,7 +32,7 @@ BACKLOG_DIGEST = "123e6d874d10c54adc83153b0f4a691b083caed8ca1f3d14eafd203314d8b8
 CLI_DIGESTS = {
     "heatmap_demand.csv": "46e1b67bb8592a52417fef570c1b3595873542168500c10d556fcfd8feb65877",
     "heatmap_served.csv": "ef18f951a5c9fcba51d5b6a82572b2b7a9fc623d4521ea6047c8e71b0611a8c6",
-    "report.json": "998e00d37e0b69576c80ad5eb0ae4c919df1f82b9141a021e5677e1b9e36d9d7",
+    "report.json": "d1d061ff6ab78405ce56ced66ceee02515a3d25abada5e405575b2acce14df54",
     "riders.csv": "a1b23fb4c92156b890e1202f900a0bc10a95b055d36178b2add4de33c0a43afb",
     "trips.csv": "703ed483b85eaec7e208cec5da831d082d3644d10f58f226e5c0a56e34041f35",
     "waits.csv": "6fb145e08a8f1637c136f9abc485d1b719d6834065d6b611a79a0c194a7bebfc",
@@ -41,7 +41,7 @@ CLI_DIGESTS = {
 REFINED_CLI_DIGESTS = {
     "heatmap_demand.csv": "46e1b67bb8592a52417fef570c1b3595873542168500c10d556fcfd8feb65877",
     "heatmap_served.csv": "8a5781cf71d016097864359604f178f239f0e43b4d9bbc3eb953814332b939a2",
-    "report.json": "f0004498191ad7c800e519a5f76cc629a85345166232a8a5ba845b22afe38804",
+    "report.json": "1726b1a73ffd962883c298a0a1fab6b4f22c337f7573cf698a9ac53fa77a3418",
     "riders.csv": "da7e94575748743a57f76c4fc1bfe494f447f9221ea6974efc13a19ac45cf85c",
     "trips.csv": "bb5c92e0a953a4004b1b3b28ae6ceab48b16aab021f64399003843debe0a8e92",
     "waits.csv": "925465c05b800a2156e0c0f689b378966de1a26ee213f1722a82174991b93c5e",

@@ -35,6 +35,11 @@ from uamsim.simulate import REVENUE, SimResult
 SFO_SJC_MI = 30.206454  # oracle distance, frozen in test_network
 
 
+def _mission_min(distance_mi: float, spec: VehicleSpec) -> float:
+    """Taxi buffer plus airborne minutes, as the network's air_time gives them."""
+    return spec.buffer_min + 60.0 * distance_mi / spec.cruise_speed_mph
+
+
 def _cost(car_speed=20.0) -> CostParams:
     return CostParams(car_speed_mph=car_speed)
 
@@ -157,19 +162,20 @@ def test_load_factor():
 def test_effective_cost_uam_oracle(spec):
     # SFO->SJC pooled by 3 with a 7.47-minute wait: mission 17.08 min,
     # operating share $57.42, time value $16.37
-    cost = effective_cost_uam(SFO_SJC_MI, 3, 7.47, _cost(), spec)
+    cost = effective_cost_uam(_mission_min(SFO_SJC_MI, spec), 3, 7.47, _cost())
     assert cost == pytest.approx(73.78, abs=0.05)
 
 
 def test_effective_cost_uam_zero_prices(spec):
     params = CostParams(car_speed_mph=20.0, op_cost_per_hr=1e-12, value_of_time_per_hr=1e-12)
-    assert effective_cost_uam(10.0, 2, 5.0, params, spec) == pytest.approx(0.0, abs=1e-9)
+    assert effective_cost_uam(_mission_min(10.0, spec), 2, 5.0, params) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solo_rider_pays_four_times_share(spec):
     params = CostParams(car_speed_mph=20.0, value_of_time_per_hr=1e-12)
-    solo = effective_cost_uam(SFO_SJC_MI, 1, 0.0, params, spec)
-    pooled = effective_cost_uam(SFO_SJC_MI, 4, 0.0, params, spec)
+    mission = _mission_min(SFO_SJC_MI, spec)
+    solo = effective_cost_uam(mission, 1, 0.0, params)
+    pooled = effective_cost_uam(mission, 4, 0.0, params)
     assert solo == pytest.approx(4 * pooled)
 
 
@@ -193,7 +199,7 @@ def test_doubling_car_speed_halves_time_not_mileage():
 
 def test_time_savings_oracle(spec):
     t_car, _ = effective_cost_car(SFO_SJC_MI, _cost())
-    t_uam = 7.47 + spec.buffer_min + 60.0 * SFO_SJC_MI / spec.cruise_speed_mph
+    t_uam = 7.47 + _mission_min(SFO_SJC_MI, spec)
     assert time_savings(t_car, t_uam) == pytest.approx(0.79, abs=0.02)
     assert time_savings(50.0, 50.0) == 0.0
     assert time_savings(50.0, 60.0) == pytest.approx(-0.2)

@@ -16,29 +16,32 @@ from uamsim import (
     avg_cycle_time,
     base_fleet,
     build_network,
-    cycle_time,
     cycles_per_hour,
-    flight_time,
     hourly_capacity,
     hourly_demand,
     robust_fleet,
     size_fleet,
 )
-from uamsim.network import GeoNode
+from uamsim.network import EARTH_RADIUS_MI, GeoNode
 
 
-def test_flight_time_examples():
-    assert flight_time(150.0, 150.0) == 60.0
-    assert flight_time(0.0, 150.0) == 0.0
-    assert flight_time(30.2, 150.0) == pytest.approx(12.08)
-    with pytest.raises(ValidationError):
-        flight_time(10.0, 0.0)
+def equator_pair(miles: float, spec: VehicleSpec):
+    """Two-node network: nodes on the equator ``miles`` of arc apart."""
+    nodes = [GeoNode(0, "A", 0.0, 0.0), GeoNode(1, "B", 0.0, math.degrees(miles / EARTH_RADIUS_MI))]
+    return build_network(nodes, spec)
+
+
+def test_flight_time_examples(spec):
+    net = equator_pair(150.0, spec)
+    assert net.dist[0, 1] == 150.0
+    assert net.air_time[0, 1] == net.air_time[1, 0] == 60.0
+    assert net.air_time[0, 0] == 0.0
+    assert equator_pair(30.2, spec).air_time[0, 1] == pytest.approx(12.08)
 
 
 def test_cycle_time_examples(spec):
-    assert cycle_time(0.0, spec) == 15.0
-    assert cycle_time(30.2, spec) == pytest.approx(27.08)
-    assert cycle_time(150.0, spec) == 75.0
+    assert avg_cycle_time(equator_pair(30.2, spec), spec) == pytest.approx(27.08)
+    assert avg_cycle_time(equator_pair(150.0, spec), spec) == 75.0
 
 
 def test_avg_cycle_time_baseline(net, spec):
@@ -51,7 +54,8 @@ def test_avg_cycle_time_symmetric_equals_unordered_mean(net, spec):
     unordered = []
     for i in range(net.n):
         for j in range(i + 1, net.n):
-            unordered.append(cycle_time(float(net.dist[i, j]), spec))
+            air_min = 60.0 * float(net.dist[i, j]) / spec.cruise_speed_mph
+            unordered.append(air_min + spec.turnaround_min + spec.buffer_min)
     assert ordered == pytest.approx(sum(unordered) / len(unordered))
 
 
@@ -135,7 +139,7 @@ def test_fleet_monotone_in_alpha_and_demand(net, spec, baseline_rates):
 def test_little_law_roundtrip(lam, dist):
     # single OD pair, q = 1: base fleet reduces to rate times cycle time
     spec = VehicleSpec()
-    t_cycle = cycle_time(dist, spec)
+    t_cycle = 60.0 * dist / spec.cruise_speed_mph + spec.turnaround_min + spec.buffer_min
     per_min = np.array([[0.0, lam], [0.0, 0.0]])
     rates = DemandRates(per_min=per_min)
     cap = hourly_capacity(cycles_per_hour(t_cycle), 1.0, spec.capacity)
