@@ -144,11 +144,10 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
 def compute_rates(od: ODMatrix, days_per_month: int = 30, op_hours_per_day: float = 20.0) -> DemandRates:
     """Convert monthly counts to passengers per operating minute.
 
-    A pair's rate may be at most ``-ln`` of the smallest normal float,
-    708.3964 pax/min.  Knuth inversion stops when the product of uniforms
-    reaches ``e^-rate``; past that bound ``e^-rate`` is subnormal, and past
-    ~745/min it is 0.0, so each count would stop only when the product
-    underflows, near 746, and the run would end silently wrong.
+    A pair's rate may be at most 708.3964 pax/min, ``-ln`` of the smallest
+    normal float.  Knuth inversion stops when the product of uniforms
+    reaches ``e^-rate``: past the bound that is subnormal, and past ~745/min
+    it is 0.0, which caps every count near 746, silently.
     """
     if days_per_month <= 0:
         raise ValidationError(f"days_per_month must be positive, got {days_per_month}")

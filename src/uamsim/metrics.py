@@ -160,7 +160,10 @@ def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) ->
 # -- door-to-door cost and time comparison ---------------------------------
 
 def effective_cost_uam(
-    mission_min: float, riders_aboard: int, wait_min: float, params: CostParams
+    mission_min: float,
+    riders_aboard: int,
+    wait_min: float,
+    params: CostParams,
 ) -> float:
     """Per-rider effective cost of a pooled air trip: an equal share of the
     mission's operating cost plus the rider's time valued at the hourly

@@ -199,7 +199,7 @@ def test_doubling_car_speed_halves_time_not_mileage():
 
 def test_time_savings_oracle(spec):
     t_car, _ = effective_cost_car(SFO_SJC_MI, _cost())
-    t_uam = 7.47 + _mission_min(SFO_SJC_MI, spec)
+    t_uam = 7.47 + spec.buffer_min + 60.0 * SFO_SJC_MI / spec.cruise_speed_mph
     assert time_savings(t_car, t_uam) == pytest.approx(0.79, abs=0.02)
     assert time_savings(50.0, 50.0) == 0.0
     assert time_savings(50.0, 60.0) == pytest.approx(-0.2)
