@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import shutil
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uamsim import cli
 from uamsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 from conftest import BASELINE_DIR
@@ -385,6 +387,72 @@ def test_non_finite_flag_exits_2(scenario_dir, tmp_path, capsys, argv):
         run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path / "out")
     assert exit_info.value.code == EXIT_CONFIG
     assert "invalid finite_float value" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def gc_state(enabled: bool):
+    """Run the body with the cyclic collector on or off; restore it after."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, missing_config, code", [
+    (("simulate", "--fleet", "2", "--minutes", "60"), False, EXIT_OK),
+    (("demand",), True, EXIT_CONFIG),
+    (("sweep", "--n-max", "1", "--minutes", "600", "--seeds", "1"), False, EXIT_INFEASIBLE),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_main_leaves_gc_as_it_found_it(scenario_dir, tmp_path, enabled, argv, missing_config, code):
+    config = tmp_path / "nope.json" if missing_config else scenario_dir / "config.json"
+    with gc_state(enabled):
+        assert run_cli(*argv, "--config", config, "--out", tmp_path / "out") == code
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_gc_as_it_found_it_when_a_command_raises(scenario_dir, monkeypatch, enabled):
+    def broken(args):
+        assert not gc.isenabled()  # the command runs with the collector paused
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli._COMMANDS, "distances", broken)
+    with gc_state(enabled):
+        with pytest.raises(RuntimeError, match="broken command"):
+            run_cli("distances", "--config", scenario_dir / "config.json")
+        assert gc.isenabled() is enabled
+
+
+def test_argparse_error_does_not_touch_gc(scenario_dir, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--config", scenario_dir / "config.json", "--n-max", "many")
+    assert exit_info.value.code == EXIT_CONFIG
+    assert calls == []
+
+
+@pytest.mark.parametrize("small, large", [
+    (("simulate", "--fleet", "2", "--minutes", "60"), ("simulate", "--fleet", "32")),
+    (("sweep", "--n-max", "2", "--seeds", "1", "--minutes", "60"),
+     ("sweep", "--n-max", "12", "--seeds", "4")),
+], ids=["simulate", "sweep"])
+def test_command_cyclic_garbage_does_not_grow_with_the_run(scenario_dir, tmp_path, small, large):
+    """A command runs with the collector paused, so its cyclic garbage must be
+    a constant, not a share of the run."""
+
+    def garbage(argv, out) -> int:
+        gc.collect()
+        with gc_state(False):
+            code = run_cli(*argv, "--config", scenario_dir / "config.json", "--out", out)
+            assert code in (EXIT_OK, EXIT_INFEASIBLE)
+            return gc.collect()
+
+    assert garbage(small, tmp_path / "small") == garbage(large, tmp_path / "large")
 
 
 def write_compare_wait(scenario_dir, wait) -> None:
