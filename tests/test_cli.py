@@ -426,7 +426,7 @@ def test_main_leaves_gc_as_it_found_it_when_a_command_raises(scenario_dir, monke
         assert gc.isenabled() is enabled
 
 
-def test_argparse_error_does_not_touch_gc(scenario_dir, monkeypatch, capsys):
+def test_argparse_error_does_not_touch_gc(scenario_dir, monkeypatch):
     calls = []
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
