@@ -11,7 +11,8 @@ ceiling of the airborne time).  Per minute the engine
    to capacity on the identical OD pair) or summon the nearest idle one,
    which flies over empty and must finish its turnaround before boarding,
 4. repositions remaining idle vehicles at rider-free nodes toward the
-   highest-origin-rate node that still has riders waiting.
+   highest-origin-rate node that still has riders waiting (``rate_order``
+   lists the nodes by descending origin rate, lowest id first on ties).
 
 Waiting riders are held three ways: ``waiting`` is the rider-id-ordered
 ledger, each (origin, dest) pair has a FIFO ``deque`` of its riders, and
@@ -27,17 +28,23 @@ against the vehicle's range.  At take-off ``_launch`` books the whole leg:
 its buffer, air and turnaround minutes go into the vehicle's buckets, each
 rider's dropoff is the landing minute, and the one scheduled event is the
 minute the vehicle is next idle.  A vehicle is therefore either idle, on
-its node's ground heap, or busy until a known minute.  Its leg ``kind``,
-revenue or reposition (an empty summon is a reposition leg), names the
-air-minute bucket and whether ``end_state`` reads ``"flying"`` or
-``"repositioning"``.
+its node's ground heap, or busy until a known minute.  The vehicle keeps
+its last leg's ``TripRecord``, the one in the trip log, and nothing else of
+the leg: its ``kind``, revenue or reposition (an empty summon is a
+reposition leg), names the air-minute bucket and whether ``end_state``
+reads ``"flying"`` or ``"repositioning"``, its riders are aboard until its
+``arrive_min``, and its airborne minutes are ``arrive_min - depart_min -
+buffer``.
 
-Only the last leg of each vehicle can be under way at the horizon, and
-``_finalize`` clamps it.  Still airborne at ``t_sim`` (landing at or after
-it), the leg keeps the buffer-first split of the minutes it flew, loses
-the rest of its air minutes and its whole charge, and its riders count as
-onboard with a blank dropoff.  Charging at ``t_sim``, it loses the charge
-minutes past the horizon.
+Only the last leg of each vehicle can be under way at the horizon: a
+vehicle takes off again only after its leg has landed.  ``_finalize``
+clamps that leg.  Still airborne at ``t_sim`` (landing at or after it),
+the leg keeps the buffer-first split of the minutes it flew since
+``depart_min``, loses the rest of its air minutes and its whole charge,
+and its riders count as onboard.  Those riders are exactly the ones
+whose dropoff minute is at or past the horizon, and their dropoff is
+blanked.  Charging at ``t_sim``, the vehicle loses the charge minutes
+past the horizon.
 
 The idle vehicles at a node form a ``heapq`` of their ids.  Every launch,
 whether boarding, summon or reposition, takes the lowest id at its node, so
@@ -63,7 +70,6 @@ class, called from C, which skips the Python frame of the generated
 from __future__ import annotations
 
 import csv
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -71,6 +77,8 @@ from heapq import heappop, heappush
 from operator import add
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .config import placement_node
 from .demand import DemandRates, RiderRequest, generate_arrivals
@@ -114,6 +122,9 @@ class RiderOutcome(NamedTuple):
 
 _new_trip = partial(tuple.__new__, TripRecord)
 _new_outcome = partial(tuple.__new__, RiderOutcome)
+
+# the last leg of a vehicle that has not flown: riderless, landed at minute 0
+_GROUNDED = TripRecord(-1, REVENUE, -1, -1, 0, 0, ())
 
 
 class VehicleStats(NamedTuple):
@@ -179,10 +190,9 @@ class _Vehicle:
     Attributes:
         location: node id when idle; the last leg's destination once it
             has taken off.
-        kind / onboard / air_len: the last leg's kind (REVENUE or
-            REPOSITION), riders and airborne minutes.
-        arrive_min: the last leg's landing minute; its riders are aboard
-            until then.
+        leg: the last leg's ``TripRecord``, the one in the trip log; its
+            riders are aboard until its ``arrive_min``.  Before the first
+            take-off it is ``_GROUNDED``, a leg that landed at minute 0.
         free_min: the minute the vehicle is (or was last) idle again.
         inbound_target: node a summoned/repositioning vehicle is committed
             to until it next goes idle; keeps a waiting rider from summoning
@@ -190,18 +200,14 @@ class _Vehicle:
     """
 
     __slots__ = (
-        "id", "location", "kind", "onboard", "air_len", "arrive_min", "free_min",
-        "inbound_target",
+        "id", "location", "leg", "free_min", "inbound_target",
         "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
     )
 
     def __init__(self, vid: int, location: int):
         self.id = vid
         self.location = location
-        self.kind = REVENUE
-        self.onboard: tuple[int, ...] = ()
-        self.air_len = 0
-        self.arrive_min = 0
+        self.leg = _GROUNDED
         self.free_min = 0
         self.inbound_target: int | None = None
         self.revenue_air_min = 0
@@ -232,13 +238,10 @@ class Simulation:
         n = cfg.net.n
         if cfg.rates.per_min.shape != (n, n):
             raise ConfigError("demand rate matrix does not match the network size")
-        bad = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and cfg.rates.per_min[i, j] > 0 and not cfg.net.feasible[i, j]
-        ]
-        if bad:
+        rows, cols = np.nonzero(
+            (cfg.rates.per_min > 0) & ~cfg.net.feasible & ~np.eye(n, dtype=bool))
+        if rows.size:
+            bad = list(zip(rows.tolist(), cols.tolist()))
             raise ConfigError(f"demand on infeasible routes (exceeds range): {bad}")
         start = placement_node(cfg.initial_placement)
         if start is not None and not 0 <= start < n:
@@ -251,16 +254,12 @@ class Simulation:
         self.reposition_turnaround = self.turnaround if cfg.charge_after_reposition else 0
         self.buffer = cfg.spec.buffer_min
         # integer airborne minutes per ordered pair
-        self.air_min = [
-            [0 if i == j else math.ceil(cfg.net.air_time[i, j]) for j in range(n)]
-            for i in range(n)
-        ]
-        self.feasible = [[bool(cfg.net.feasible[i, j]) for j in range(n)] for i in range(n)]
-        # node visit order for nearest-idle search: by distance, id breaks ties
-        self.near_order = [
-            sorted(range(n), key=lambda x, o=o: (cfg.net.dist[o, x], x)) for o in range(n)
-        ]
-        self.origin_rate = [float(r) for r in cfg.rates.origin_rate]
+        self.air_min = np.ceil(cfg.net.air_time).astype(int).tolist()
+        self.feasible = cfg.net.feasible.tolist()
+        # node visit orders, nearest first for the idle search and by
+        # descending origin rate for repositioning; lowest id breaks ties
+        self.near_order = np.argsort(cfg.net.dist, axis=1, kind="stable").tolist()
+        self.rate_order = np.argsort(-cfg.rates.origin_rate, kind="stable").tolist()
 
         if riders is None:
             riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
@@ -339,10 +338,7 @@ class Simulation:
         if not self.cfg.reposition_enabled or self.idle_count == 0 or not self.waiting:
             return
         waiting_at = self.waiting_at
-        target = min(
-            (x for x in range(self.n) if waiting_at[x]),
-            key=lambda x: (-self.origin_rate[x], x),
-        )
+        target = next(x for x in self.rate_order if waiting_at[x])
         for node in range(self.n):
             if waiting_at[node] or not self.feasible[node][target]:
                 continue
@@ -403,13 +399,10 @@ class Simulation:
             turnaround = self.reposition_turnaround
         v.charge_min += turnaround
         v.location = dest
-        v.kind = kind
-        v.onboard = riders
-        v.air_len = air
-        v.arrive_min = arrive_min
         v.free_min = free_min = arrive_min + turnaround
         self.due.setdefault(free_min, []).append(vid)
-        self.trips.append(_new_trip((vid, kind, origin, dest, minute, arrive_min, riders)))
+        v.leg = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
+        self.trips.append(leg)
         return vid
 
     # -- loop ---------------------------------------------------------------
@@ -435,7 +428,7 @@ class Simulation:
         minute has not happened yet.
         """
         minute = self.minute
-        onboard = sum(len(v.onboard) for v in self.vehicles if v.arrive_min >= minute)
+        onboard = sum(len(v.leg.rider_ids) for v in self.vehicles if v.leg.arrive_min >= minute)
         return self.generated_so_far, len(self.board_min) - onboard, onboard, len(self.waiting)
 
     def run(self) -> SimResult:
@@ -450,24 +443,24 @@ class Simulation:
         was and a second call gives the same result.
         """
         t_end = self.cfg.t_sim
-        aloft = 0  # riders of legs landing at or after the horizon
+        aloft: list[int] = []  # riders of legs landing at or after the horizon
         stats = []
         for v in self.vehicles:
             revenue, reposition, buffer_min = v.revenue_air_min, v.reposition_air_min, v.buffer_min
             charge, idle = v.charge_min, v.idle_min
             end_location = v.location
-            if v.arrive_min >= t_end:  # airborne: buffer elapses first, then air
-                elapsed = t_end - (v.arrive_min - self.buffer - v.air_len)
-                buffer_part = min(elapsed, self.buffer)
-                unflown = v.air_len - (elapsed - buffer_part)
-                buffer_min -= self.buffer - buffer_part
-                if v.kind == REVENUE:
+            leg = v.leg
+            if leg.arrive_min >= t_end:  # airborne: buffer elapses first, then air
+                buffer_left = max(self.buffer - (t_end - leg.depart_min), 0)
+                unflown = leg.arrive_min - t_end - buffer_left
+                buffer_min -= buffer_left
+                if leg.kind == REVENUE:
                     revenue -= unflown
-                    aloft += len(v.onboard)
+                    aloft += leg.rider_ids
                 else:
                     reposition -= unflown
-                charge -= v.free_min - v.arrive_min
-                end_state, end_location = _AIRBORNE_END_STATE[v.kind], None
+                charge -= v.free_min - leg.arrive_min
+                end_state, end_location = _AIRBORNE_END_STATE[leg.kind], None
             elif v.free_min >= t_end:  # a charge that ends now is still under way
                 charge -= v.free_min - t_end
                 end_state = "charging"
@@ -478,18 +471,19 @@ class Simulation:
                 v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
         # generate_arrivals numbers riders by their place in the stream
         ids = range(len(self.all_riders))
-        # a landing at or after the horizon, by a leg still aloft, is blank
-        landed = {m: m for m in range(t_end)}.get
+        dropoffs = list(map(self.dropoff_min.get, ids))
+        for rid in aloft:  # a leg still aloft has not landed its riders
+            dropoffs[rid] = None
         outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(
-            map(self.board_min.get, ids), map(landed, map(self.dropoff_min.get, ids))))))
+            map(self.board_min.get, ids), dropoffs))))
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
             riders=outcomes,
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(self.dropoff_min) - aloft,
-            onboard_at_end=aloft,
+            served=len(self.dropoff_min) - len(aloft),
+            onboard_at_end=len(aloft),
             unserved=len(self.waiting),
         )
 

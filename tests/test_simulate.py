@@ -32,9 +32,9 @@ def zero_rates(net) -> DemandRates:
 
 
 def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
-    """Simulation over a zero-rate config with a hand-written arrival list."""
+    """Simulation over a config that draws no riders, with a hand-written list."""
     assert not generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed), \
-        "scripted scenarios need a zero-rate config"
+        "scripted scenarios need a config that draws no riders"
     return Simulation(cfg, riders=list(riders))
 
 
@@ -309,16 +309,19 @@ def test_no_waiting_riders_no_movement(net, spec):
     assert sim.trips == []
 
 
-def test_reposition_prefers_higher_origin_rate(net, spec, baseline_rates):
-    # riders waiting at both SFO and SJC with help already summoned; a
-    # vehicle coming off charge at OAK must head for SJC, whose origin
-    # rate is the larger
-    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=3, t_sim=60,
+def reposition_after_summons(net, spec, sfo_rate: float, sjc_rate: float) -> Simulation:
+    """Riders wait at SFO and SJC with help summoned; vehicle 2 charges at OAK.
+
+    The origin rates of SFO and SJC are ``sfo_rate`` and ``sjc_rate`` per
+    minute, faint enough that the hour draws no rider of its own.
+    """
+    lam = np.zeros((net.n, net.n))
+    lam[SFO, OAK], lam[SJC, OAK] = sfo_rate, sjc_rate
+    cfg = SimConfig(net=net, spec=spec, rates=DemandRates(per_min=lam), fleet=3, t_sim=60,
                     initial_placement="node:1")
     sim = scripted_sim(
         cfg, [RiderRequest(0, SFO, OAK, 0), RiderRequest(1, SJC, OAK, 0)]
     )
-    sim.origin_rate = [float(x) for x in baseline_rates.origin_rate]
     place(sim, 1, PAO)
     # vehicle 2 is mid-charge at OAK and comes free at minute 2
     sim.due.setdefault(2, []).append(2)
@@ -328,10 +331,24 @@ def test_reposition_prefers_higher_origin_rate(net, spec, baseline_rates):
     assert summons == {0: SFO, 1: SJC}
     sim.step()  # minute 1: nothing new
     sim.step()  # minute 2: vehicle 2 goes idle at OAK, then repositions
-    last = sim.trips[-1]
+    return sim
+
+
+def test_reposition_prefers_higher_origin_rate(net, spec):
+    # the vehicle coming off charge at OAK must head for SJC, whose origin
+    # rate is the larger
+    last = reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=2e-9).trips[-1]
     assert last.vehicle_id == 2
     assert last.kind == REPOSITION
     assert last.origin == OAK and last.dest == SJC
+
+
+def test_reposition_tie_goes_to_lower_id(net, spec):
+    # equal origin rates: the vehicle heads for SFO, the lower id
+    last = reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=1e-9).trips[-1]
+    assert last.vehicle_id == 2
+    assert last.kind == REPOSITION
+    assert last.origin == OAK and last.dest == SFO
 
 
 def test_reposition_can_be_disabled(net, spec, baseline_rates):
@@ -363,8 +380,13 @@ def test_demand_on_infeasible_route_rejected(bay_nodes, baseline_rates):
     short = VehicleSpec(max_range_mi=20.0)
     net20 = build_network(bay_nodes, short)
     cfg = SimConfig(net=net20, spec=short, rates=baseline_rates, fleet=4, t_sim=100)
-    with pytest.raises(ConfigError, match="infeasible"):
+    with pytest.raises(ConfigError, match="infeasible") as err:
         Simulation(cfg)
+    # named in row-major order as (origin, dest) pairs
+    bad = [(i, j) for i in range(net20.n) for j in range(net20.n)
+           if baseline_rates.per_min[i, j] > 0 and not net20.feasible[i, j]]
+    assert bad
+    assert str(err.value) == f"demand on infeasible routes (exceeds range): {bad}"
 
 
 def test_bad_placement_rule_rejected(net, spec):
