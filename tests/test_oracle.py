@@ -19,7 +19,7 @@ from uamsim.demand import DemandRates
 import oracle_engine
 
 # pair rates are drawn in steps of 0.05/min up to 0.6/min; 5 of the 17
-# choices are zero, and equal steps give origin-rate ties to break
+# choices are zero
 RATE_STEPS = [0] * 5 + list(range(1, 13))
 
 
@@ -58,6 +58,7 @@ def worlds(draw) -> SimConfig:
 
 
 SQUARE = [(37.0, -122.0), (37.0, -121.6), (37.3, -122.0), (37.3, -121.6)]
+TRIANGLE = [(37.45, -122.11), (37.31, -122.12), (37.12, -122.52)]
 HEXAGON = [(37.0, -122.3), (37.2, -122.5), (37.4, -122.3), (37.4, -121.9),
            (37.2, -121.7), (37.0, -121.9)]
 
@@ -74,6 +75,11 @@ FIXED_WORLDS = {
     "backlogged fleet": world(
         HEXAGON, 12 - 12 * np.eye(6, dtype=int), fleet=1, t_sim=300, seed=9,
         charge=False),
+    # riders wait at nodes 0 and 1, tied on origin rate, while an aircraft
+    # at node 2 repositions: it must head for node 0
+    "reposition tie": world(
+        TRIANGLE, [[0, 0, 10], [0, 0, 10], [6, 0, 0]], capacity=5, buffer=1, turnaround=9,
+        fleet=12, t_sim=28, seed=29076, charge=False),
 }
 
 
@@ -87,8 +93,12 @@ def test_fixed_worlds_show_their_case(name):
     elif name == "capacity above demand":
         assert max(len(t.rider_ids) for t in result.trips) < 6
         assert sum(v.idle_min for v in result.vehicles) > 12 * 300 / 3
-    else:
+    elif name == "backlogged fleet":
         assert result.unserved > result.generated / 2
+    else:
+        rate = FIXED_WORLDS[name].rates.origin_rate
+        assert rate[0] == rate[1] > rate[2]
+        assert (5, "reposition", 2, 0) in {t[:4] for t in result.trips}
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -96,5 +106,6 @@ def test_fixed_worlds_show_their_case(name):
 @example(cfg=FIXED_WORLDS["legs cut at the horizon"])
 @example(cfg=FIXED_WORLDS["capacity above demand"])
 @example(cfg=FIXED_WORLDS["backlogged fleet"])
+@example(cfg=FIXED_WORLDS["reposition tie"])
 def test_engine_matches_seed_engine(cfg):
     assert run_simulation(cfg).to_dict() == oracle_engine.run_simulation(cfg).to_dict()
