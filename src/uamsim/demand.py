@@ -56,6 +56,8 @@ from .network import RouteNetwork
 RNG_NAME = "pcg64"
 # uniforms fetched from the generator per call
 _CHUNK = 8192
+# largest monthly total an OD pair may sum to; ODMatrix counts are int64
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
 
     Unlisted pairs default to zero; repeated pairs accumulate, matching how
     market datasets report one row per carrier.  Rows referencing codes not
-    in the network, negative counts, or origin == dest are rejected with the
-    offending line number in the message.
+    in the network, negative counts, origin == dest, or a pair total beyond
+    int64 are rejected with the offending line number in the message.
     """
     path = Path(path)
     if not path.exists():
@@ -137,7 +139,12 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
                 raise IngestionError(f"{path}:{lineno}: negative passenger count {pax}")
             if origin == dest and pax > 0:
                 raise IngestionError(f"{path}:{lineno}: origin equals destination ({origin!r}) with count {pax}")
-            counts[index[origin], index[dest]] += pax
+            i, j = index[origin], index[dest]
+            total = int(counts[i, j]) + pax  # a Python int: the array would wrap or raise
+            if total > _INT64_MAX:
+                raise IngestionError(
+                    f"{path}:{lineno}: {origin}->{dest} total of {total} passengers exceeds {_INT64_MAX}")
+            counts[i, j] = total
     return ODMatrix(counts=counts)
 
 

@@ -99,8 +99,7 @@ def utilization_band(u_air: float) -> str:
 
 
 def check_utilization_band(u_air: float) -> bool:
-    low, high = U_AIR_BAND
-    return low <= u_air <= high
+    return utilization_band(u_air) == "in_band"
 
 
 def throughput_matrix(result: SimResult) -> np.ndarray:
@@ -206,9 +205,6 @@ class SweepRow:
     u_cycle: float
     load_factor: float
     wait_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -25,26 +25,26 @@ Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
 post-reposition charge can be disabled), and every leg flown is checked
 against the vehicle's range.  At take-off ``_launch`` books the whole leg:
-its buffer, air and turnaround minutes go into the vehicle's buckets, each
-rider's dropoff is the landing minute, and the one scheduled event is the
-minute the vehicle is next idle.  A vehicle is therefore either idle, on
-its node's ground heap, or busy until a known minute.  The vehicle keeps
-its last leg's ``TripRecord``, the one in the trip log, and nothing else of
-the leg: its ``kind``, revenue or reposition (an empty summon is a
-reposition leg), names the air-minute bucket and whether ``end_state``
-reads ``"flying"`` or ``"repositioning"``, its riders are aboard until its
-``arrive_min``, and its airborne minutes are ``arrive_min - depart_min -
-buffer``.
+its buffer, air and turnaround minutes go into the vehicle's buckets, and
+the one scheduled event is the minute the vehicle is next idle.  A vehicle
+is therefore either idle, on its node's ground heap, or busy until a known
+minute.  The vehicle keeps its last leg's ``TripRecord``, the one in the
+trip log, and nothing else of the leg: its ``dest`` is the vehicle's node,
+its ``kind``, revenue or reposition (an empty summon is a reposition leg),
+names the air-minute bucket and whether ``end_state`` reads ``"flying"`` or
+``"repositioning"``, its riders are aboard until its ``arrive_min``, and
+its airborne minutes are ``arrive_min - depart_min - buffer``.
+
+The trip log is the only record of a boarding: a rider boards at its leg's
+``depart_min`` and is dropped off at its ``arrive_min``.
 
 Only the last leg of each vehicle can be under way at the horizon: a
 vehicle takes off again only after its leg has landed.  ``_finalize``
 clamps that leg.  Still airborne at ``t_sim`` (landing at or after it),
 the leg keeps the buffer-first split of the minutes it flew since
 ``depart_min``, loses the rest of its air minutes and its whole charge,
-and its riders count as onboard.  Those riders are exactly the ones
-whose dropoff minute is at or past the horizon, and their dropoff is
-blanked.  Charging at ``t_sim``, the vehicle loses the charge minutes
-past the horizon.
+and its riders count as onboard: their dropoff is blanked.  Charging at
+``t_sim``, the vehicle loses the charge minutes past the horizon.
 
 The idle vehicles at a node form a ``heapq`` of their ids.  Every launch,
 whether boarding, summon or reposition, takes the lowest id at its node, so
@@ -123,9 +123,6 @@ class RiderOutcome(NamedTuple):
 _new_trip = partial(tuple.__new__, TripRecord)
 _new_outcome = partial(tuple.__new__, RiderOutcome)
 
-# the last leg of a vehicle that has not flown: riderless, landed at minute 0
-_GROUNDED = TripRecord(-1, REVENUE, -1, -1, 0, 0, ())
-
 
 class VehicleStats(NamedTuple):
     """End-of-run accumulator snapshot; the five buckets sum to the horizon."""
@@ -188,11 +185,10 @@ class _Vehicle:
     one included in full; ``_finalize`` clamps that leg at the horizon.
 
     Attributes:
-        location: node id when idle; the last leg's destination once it
-            has taken off.
         leg: the last leg's ``TripRecord``, the one in the trip log; its
-            riders are aboard until its ``arrive_min``.  Before the first
-            take-off it is ``_GROUNDED``, a leg that landed at minute 0.
+            ``dest`` is the vehicle's node, and its riders are aboard until
+            its ``arrive_min``.  Before the first take-off it is a riderless
+            leg that landed at the start node at minute 0.
         free_min: the minute the vehicle is (or was last) idle again.
         inbound_target: node a summoned/repositioning vehicle is committed
             to until it next goes idle; keeps a waiting rider from summoning
@@ -200,14 +196,13 @@ class _Vehicle:
     """
 
     __slots__ = (
-        "id", "location", "leg", "free_min", "inbound_target",
+        "id", "leg", "free_min", "inbound_target",
         "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
     )
 
-    def __init__(self, vid: int, location: int):
+    def __init__(self, vid: int, start: int):
         self.id = vid
-        self.location = location
-        self.leg = _GROUNDED
+        self.leg = TripRecord(vid, REVENUE, start, start, 0, 0, ())
         self.free_min = 0
         self.inbound_target: int | None = None
         self.revenue_air_min = 0
@@ -274,7 +269,7 @@ class Simulation:
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
         for v in self.vehicles:
-            self.idle_at[v.location].append(v.id)
+            self.idle_at[v.leg.dest].append(v.id)
         self.idle_count = cfg.fleet
 
         self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
@@ -286,8 +281,6 @@ class Simulation:
         self.summoned: dict[int, int] = {}          # rider id -> vehicle id flying to help
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.trips: list[TripRecord] = []
-        self.board_min: dict[int, int] = {}
-        self.dropoff_min: dict[int, int] = {}
         self.generated_so_far = 0
         self.minute = 0
 
@@ -302,7 +295,7 @@ class Simulation:
         for vid in due:
             v = vehicles[vid]
             v.inbound_target = None
-            heappush(idle_at[v.location], vid)
+            heappush(idle_at[v.leg.dest], vid)
         self.idle_count += len(due)
 
     def inject(self, minute: int) -> None:
@@ -315,13 +308,13 @@ class Simulation:
     def dispatch_step(self, minute: int) -> None:
         if self.idle_count == 0:
             return  # nobody can board or be summoned this minute
-        boarded: list[int] = []
+        boarded: set[int] = set()
         for rider in self.waiting.values():
-            if rider.rider_id in self.board_min:
+            if rider.rider_id in boarded:
                 continue  # pooled onto an earlier boarding this pass
             origin = rider.origin
             if self.idle_at[origin]:
-                boarded += self._board(rider, minute)
+                boarded.update(self._board(rider, minute))
                 continue
             helper = self.summoned.get(rider.rider_id)
             if helper is not None and self.vehicles[helper].inbound_target == origin:
@@ -369,16 +362,13 @@ class Simulation:
         group = tuple(queue.popleft().rider_id for _ in range(min(self.capacity, len(queue))))
         self.waiting_at[rider.origin] -= len(group)
         self._launch(rider.origin, REVENUE, rider.dest, group, minute)
-        for rid in group:
-            self.board_min[rid] = minute
-            self.summoned.pop(rid, None)
         return group
 
     def _launch(self, origin: int, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> int:
         """Fly the lowest-id idle vehicle at ``origin`` to ``dest``; return its id.
 
         The whole leg is booked now: buffer, air and turnaround minutes,
-        the riders' dropoff, and the minute the vehicle is idle again.
+        and the minute the vehicle is idle again.
         """
         vid = heappop(self.idle_at[origin])
         self.idle_count -= 1
@@ -390,15 +380,11 @@ class Simulation:
         if kind == REVENUE:
             v.revenue_air_min += air
             turnaround = self.turnaround
-            dropoff_min = self.dropoff_min
-            for rid in riders:
-                dropoff_min[rid] = arrive_min
         else:
             v.reposition_air_min += air
             v.inbound_target = dest
             turnaround = self.reposition_turnaround
         v.charge_min += turnaround
-        v.location = dest
         v.free_min = free_min = arrive_min + turnaround
         self.due.setdefault(free_min, []).append(vid)
         v.leg = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
@@ -422,14 +408,16 @@ class Simulation:
         self.minute = m + 1
 
     def counts(self) -> tuple[int, int, int, int]:
-        """(generated, dropped_off, onboard, waiting); conserved every minute.
+        """(generated, dropped_off, onboard, waiting) at the current minute.
 
         Riders are aboard until their leg lands: a landing at the current
-        minute has not happened yet.
+        minute has not happened yet.  A generated rider who is neither
+        waiting nor aboard has been dropped off.
         """
         minute = self.minute
         onboard = sum(len(v.leg.rider_ids) for v in self.vehicles if v.leg.arrive_min >= minute)
-        return self.generated_so_far, len(self.board_min) - onboard, onboard, len(self.waiting)
+        waiting = len(self.waiting)
+        return self.generated_so_far, self.generated_so_far - waiting - onboard, onboard, waiting
 
     def run(self) -> SimResult:
         while self.minute < self.cfg.t_sim:
@@ -439,24 +427,25 @@ class Simulation:
     def _finalize(self) -> SimResult:
         """Clamp each vehicle's last leg at the horizon and snapshot the run.
 
-        The clamp is applied to copies, so the engine's state is left as it
+        Each rider's board and dropoff minutes are read from its leg in the
+        trip log.  The clamp is applied to copies, so the engine's state is left as it
         was and a second call gives the same result.
         """
         t_end = self.cfg.t_sim
-        aloft: list[int] = []  # riders of legs landing at or after the horizon
+        onboard = 0  # riders of legs landing at or after the horizon
         stats = []
         for v in self.vehicles:
             revenue, reposition, buffer_min = v.revenue_air_min, v.reposition_air_min, v.buffer_min
             charge, idle = v.charge_min, v.idle_min
-            end_location = v.location
             leg = v.leg
+            end_location = leg.dest
             if leg.arrive_min >= t_end:  # airborne: buffer elapses first, then air
                 buffer_left = max(self.buffer - (t_end - leg.depart_min), 0)
                 unflown = leg.arrive_min - t_end - buffer_left
                 buffer_min -= buffer_left
                 if leg.kind == REVENUE:
                     revenue -= unflown
-                    aloft += leg.rider_ids
+                    onboard += len(leg.rider_ids)
                 else:
                     reposition -= unflown
                 charge -= v.free_min - leg.arrive_min
@@ -470,20 +459,22 @@ class Simulation:
             stats.append(VehicleStats(
                 v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
         # generate_arrivals numbers riders by their place in the stream
-        ids = range(len(self.all_riders))
-        dropoffs = list(map(self.dropoff_min.get, ids))
-        for rid in aloft:  # a leg still aloft has not landed its riders
-            dropoffs[rid] = None
-        outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(
-            map(self.board_min.get, ids), dropoffs))))
+        boards: list[int | None] = [None] * len(self.all_riders)
+        dropoffs = boards.copy()
+        for _, _, _, _, depart, arrive, rider_ids in self.trips:
+            landed = arrive if arrive < t_end else None  # a leg still aloft has not landed
+            for rid in rider_ids:
+                boards[rid] = depart
+                dropoffs[rid] = landed
+        outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(boards, dropoffs))))
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
             riders=outcomes,
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(self.dropoff_min) - len(aloft),
-            onboard_at_end=len(aloft),
+            served=len(dropoffs) - dropoffs.count(None),
+            onboard_at_end=onboard,
             unserved=len(self.waiting),
         )
 

@@ -341,6 +341,21 @@ def test_pair_rate_beyond_sampler_range_exits_2(scenario_dir, tmp_path, capsys, 
         assert report["simulation"]["generated"] > 3 * 600
 
 
+@pytest.mark.parametrize("rows, line, total", [
+    (["100000000000000000000"], 2, 10**20),
+    (["9223372036854775807", "9223372036854775807", "3"], 3, 2 * (2**63 - 1)),
+])
+def test_od_pair_total_beyond_int64_exits_2(scenario_dir, capsys, rows, line, total):
+    # one row crashed with an OverflowError traceback; the three rows wrapped
+    # the int64 total to 1, and demand printed 1001 passengers and exited 0
+    (scenario_dir / "od.csv").write_text(
+        "origin,dest,monthly_pax\n" + "".join(f"SFO,OAK,{pax}\n" for pax in rows))
+    assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"od.csv:{line}: SFO->OAK total of {total} passengers exceeds {2**63 - 1}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["distances", "demand", "size-fleet", "simulate", "compare", "sweep"])
 def test_bad_placement_rule_exits_2_from_every_command(scenario_dir, tmp_path, capsys, command):
     # distances, demand, size-fleet and compare once exited 0: only a

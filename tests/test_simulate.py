@@ -40,7 +40,7 @@ def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
 
 def place(sim: Simulation, vid: int, node: int) -> None:
     """Relocate an idle vehicle before the clock starts."""
-    sim.vehicles[vid].location = node
+    sim.vehicles[vid].leg = TripRecord(vid, REVENUE, node, node, 0, 0, ())
     rebuild_idle_heaps(sim)
 
 
@@ -51,7 +51,7 @@ def rebuild_idle_heaps(sim: Simulation) -> None:
     """
     busy = {vid for vids in sim.due.values() for vid in vids}
     sim.idle_at = [
-        sorted(v.id for v in sim.vehicles if v.location == node and v.id not in busy)
+        sorted(v.id for v in sim.vehicles if v.leg.dest == node and v.id not in busy)
         for node in range(sim.n)
     ]
     sim.idle_count = sum(map(len, sim.idle_at))
@@ -506,14 +506,19 @@ def test_queues_match_waiting_every_minute(net, spec, baseline_rates, case):
 
 
 def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
+    """``counts()`` agrees with the arrival stream and the trip log every minute.
+
+    ``counts()`` takes the dropped riders as the generated ones neither
+    waiting nor aboard, so these checks are what show riders conserved.
+    """
     sim = Simulation(cfg)
     while sim.minute < cfg.t_sim:
         sim.step()
         generated, dropped, onboard, waiting = sim.counts()
-        assert generated == dropped + onboard + waiting
-        # riders whose dropoff minute has passed are exactly the dropped ones
-        assert dropped == sum(1 for m in sim.dropoff_min.values() if m < sim.minute)
-        assert dropped + onboard == len(sim.board_min)
+        assert generated == sum(map(len, sim.arrivals_by_minute[:sim.minute]))
+        # riders whose leg has landed are exactly the dropped ones
+        assert dropped == sum(len(t.rider_ids) for t in sim.trips if t.arrive_min < sim.minute)
+        assert dropped + onboard == sum(len(t.rider_ids) for t in sim.trips)
     return sim
 
 
@@ -542,16 +547,16 @@ def test_second_run_call_gives_the_same_result(net, spec, baseline_rates):
     assert sim.run().to_dict() == first.to_dict()
 
 
-def test_finalize_leaves_the_dropoff_ledger_whole():
+def test_finalize_reads_board_and_dropoff_from_the_trip_log():
     cfg = backlog_config(seed=6, fleet=80, t_sim=100)
-    sim = Simulation(cfg)
-    result = sim.run()
-    aloft = {rid: t.arrive_min for t in result.trips
-             if t.kind == REVENUE and t.arrive_min >= cfg.t_sim for rid in t.rider_ids}
+    result = run_simulation(cfg)
+    aloft = {rid for t in result.trips if t.arrive_min >= cfg.t_sim for rid in t.rider_ids}
     assert aloft
-    for rid, landing in aloft.items():
-        assert sim.dropoff_min[rid] == landing
+    for rid in aloft:
         assert result.riders[rid].dropoff_min is None
+    for t in result.trips:
+        for rid in t.rider_ids:
+            assert result.riders[rid].board_min == t.depart_min
     assert result.onboard_at_end == len(aloft)
     assert result.served == sum(r.dropoff_min is not None for r in result.riders)
     assert result.generated == result.served + result.onboard_at_end + result.unserved
@@ -580,4 +585,4 @@ def test_presampled_riders_give_the_same_run(case, net, spec, baseline_rates):
 def test_round_robin_spreads_initial_fleet(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=6, t_sim=5)
     sim = Simulation(cfg)
-    assert [v.location for v in sim.vehicles] == [0, 1, 2, 3, 0, 1]
+    assert [v.leg.dest for v in sim.vehicles] == [0, 1, 2, 3, 0, 1]
