@@ -13,6 +13,7 @@ from .demand import (
     DemandRates,
     ODMatrix,
     RiderRequest,
+    check_demand_in_range,
     compute_rates,
     expected_arrivals,
     generate_arrivals,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .metrics import (
     MetricsReport,
-    RefinementResult,
     SweepRow,
     air_utilization,
     check_utilization_band,
@@ -36,6 +36,7 @@ from .metrics import (
     cycle_utilization,
     effective_cost_car,
     effective_cost_uam,
+    first_passing,
     load_factor,
     refine_fleet,
     throughput_matrix,

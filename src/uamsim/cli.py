@@ -27,6 +27,7 @@ from .metrics import (
     compute_metrics,
     effective_cost_car,
     effective_cost_uam,
+    first_passing,
     refine_fleet,
     throughput_matrix,
     time_savings,
@@ -167,15 +168,15 @@ def cmd_simulate(args) -> int:
     fleet = cfg.fleet
     refined = None
     if fleet is None:
-        # no fleet pinned: start from the analytical estimate, refine upward
+        # no fleet pinned: run sizes upward from the analytical estimate and
+        # stop at the first one that meets the wait target
         n_min = max(1, sizing.fleet)
-        refined = refine_fleet(
+        fleet = refined = first_passing(refine_fleet(
             _sim_config(cfg, net, rates, n_min), cfg.seeds, n_min, max(n_min * 4, n_min + 8)
-        )
-        if not refined.feasible:
+        ))
+        if fleet is None:
             print("no fleet size within the refinement bound meets the wait target", file=sys.stderr)
             return EXIT_INFEASIBLE
-        fleet = refined.fleet
         cfg = replace(cfg, fleet=fleet)
 
     result = run_simulation(_sim_config(cfg, net, rates, fleet))
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
             "config": cfg.to_dict(),
             "rng": RNG_NAME,
             "sizing": sizing.to_dict(),
-            "refined_fleet": None if refined is None else refined.fleet,
+            "refined_fleet": refined,
             "metrics": {**report.to_dict(), "throughput": served.tolist()},
             "simulation": {
                 "generated": result.generated,
@@ -230,12 +231,16 @@ def cmd_compare(args) -> int:
     for i in range(net.n):
         for j in range(i + 1, net.n):
             d = float(net.dist[i, j])
+            car_min, car_cost = effective_cost_car(d, cfg.cost)
+            pair = f"{net.codes[i]}-{net.codes[j]}"
+            if not net.feasible[i, j]:
+                # no air leg to price: the aircraft cannot fly this pair
+                print(f"{pair:<12}{d:>8.2f}{'beyond range':>27}{car_min:>9.2f}{car_cost:>9.2f}")
+                continue
             mission = cfg.vehicle.buffer_min + float(net.air_time[i, j])
             uam_door = wait + mission
             uam_cost = effective_cost_uam(mission, riders, wait, cfg.cost)
-            car_min, car_cost = effective_cost_car(d, cfg.cost)
             saved = time_savings(car_min, uam_door)
-            pair = f"{net.codes[i]}-{net.codes[j]}"
             print(
                 f"{pair:<12}{d:>8.2f}{uam_door:>14.2f}{uam_cost:>13.2f}"
                 f"{car_min:>9.2f}{car_cost:>9.2f}{saved:>12.3f}"
@@ -250,20 +255,20 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     n_min = args.n_min if args.n_min is not None else 1
     n_max = args.n_max if args.n_max is not None else 40
-    base = _sim_config(cfg, net, rates, max(1, n_min))
-    refined = refine_fleet(base, cfg.seeds, n_min, n_max)
-    write_sweep_csv(refined.rows, out / "sweep.csv")
+    rows = list(refine_fleet(_sim_config(cfg, net, rates, n_min), cfg.seeds, n_min, n_max))
+    write_sweep_csv(rows, out / "sweep.csv")
     print(f"{'fleet':>6}{'mean wait':>11}{'p95':>7}{'served':>9}{'u_air':>8}{'u_cycle':>9}{'wait ok':>9}")
-    for row in refined.rows:
+    for row in rows:
         print(
             f"{row.fleet:>6}{row.mean_wait:>11.2f}{row.p95_wait:>7.1f}{row.served:>9.1f}"
             f"{row.u_air:>8.3f}{row.u_cycle:>9.3f}{'yes' if row.wait_ok else 'no':>9}"
         )
     print(f"sweep table written to {out / 'sweep.csv'}")
-    if not refined.feasible:
+    fleet = first_passing(rows)
+    if fleet is None:
         print(f"infeasible within bound: no fleet in [{n_min}, {n_max}] meets the wait target", file=sys.stderr)
         return EXIT_INFEASIBLE
-    print(f"smallest fleet meeting the wait target: {refined.fleet}")
+    print(f"smallest fleet meeting the wait target: {fleet}")
     return EXIT_OK
 
 

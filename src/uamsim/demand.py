@@ -48,7 +48,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import IngestionError, ValidationError
+from .errors import ConfigError, IngestionError, ValidationError
 from .network import RouteNetwork
 
 # Uniform source behind the arrival sampler; recorded in reports so runs
@@ -177,6 +177,15 @@ def expected_arrivals(rates: DemandRates, t_sim: int) -> float:
     if t_sim <= 0:
         raise ValidationError(f"t_sim must be positive, got {t_sim}")
     return rates.total_rate * t_sim
+
+
+def check_demand_in_range(rates: DemandRates, net: RouteNetwork) -> None:
+    """Refuse demand on a pair beyond the aircraft's range, naming every
+    such (origin, dest) pair in row-major order."""
+    rows, cols = np.nonzero((rates.per_min > 0) & ~net.feasible & ~np.eye(net.n, dtype=bool))
+    if rows.size:
+        bad = list(zip(rows.tolist(), cols.tolist()))
+        raise ConfigError(f"demand on infeasible routes (exceeds range): {bad}")
 
 
 def _rider_draws(exps: list[float], t_sim: int, seed: int) -> Iterator[list[int]]:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,26 +207,19 @@ class SweepRow:
     wait_ok: bool
 
 
-@dataclass(frozen=True)
-class RefinementResult:
-    """Outcome of a fleet sweep: chosen size (None if infeasible) + table."""
-
-    fleet: int | None
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def feasible(self) -> bool:
-        return self.fleet is not None
+# the seed-averaged columns, each the mean of the MetricsReport field of
+# the same name; wait_ok is judged on the averaged mean wait
+_SEED_MEANS = tuple(f.name for f in fields(SweepRow) if f.name not in ("fleet", "wait_ok"))
 
 
-def refine_fleet(cfg: SimConfig, seeds: int, n_min: int, n_max: int) -> RefinementResult:
+def refine_fleet(cfg: SimConfig, seeds: int, n_min: int, n_max: int) -> Iterator[SweepRow]:
     """Sweep fleet sizes, averaging metrics over a common seed list per size.
 
-    Seeds are ``cfg.seed + k`` for k in [0, seeds).  Each seed's arrival
-    stream is sampled once, before the sweep, and every size runs on the
-    same streams, which keeps adjacent rows comparable.  Returns the
-    smallest size whose seed-averaged mean wait meets the target, with the
-    full sweep table either way.
+    Seeds are ``cfg.seed + k`` for k in [0, seeds).  The arguments are
+    checked and each seed's arrival stream is sampled once, at the call;
+    every size then runs on the same streams, which keeps adjacent rows
+    comparable.  Rows are yielded lazily in ascending fleet order, so a
+    caller that wants only the answer (``first_passing``) stops there.
     """
     if n_min < 1:
         raise ValidationError(f"n_min must be at least 1, got {n_min}")
@@ -235,28 +228,21 @@ def refine_fleet(cfg: SimConfig, seeds: int, n_min: int, n_max: int) -> Refineme
     if seeds < 1:
         raise ValidationError(f"seeds must be at least 1, got {seeds}")
     streams = [generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed + k) for k in range(seeds)]
-    rows = []
-    for fleet in range(n_min, n_max + 1):
-        reports = [
-            compute_metrics(run_simulation(replace(cfg, fleet=fleet, seed=cfg.seed + k), riders))
-            for k, riders in enumerate(streams)
-        ]
-        mean_wait = sum(r.mean_wait for r in reports) / seeds
-        rows.append(
-            SweepRow(
-                fleet=fleet,
-                mean_wait=mean_wait,
-                p95_wait=sum(r.p95_wait for r in reports) / seeds,
-                served=sum(r.served for r in reports) / seeds,
-                unserved=sum(r.unserved for r in reports) / seeds,
-                u_air=sum(r.u_air for r in reports) / seeds,
-                u_cycle=sum(r.u_cycle for r in reports) / seeds,
-                load_factor=sum(r.load_factor for r in reports) / seeds,
-                wait_ok=check_wait_target(mean_wait),
-            )
-        )
-    chosen = next((row.fleet for row in rows if row.wait_ok), None)
-    return RefinementResult(fleet=chosen, rows=tuple(rows))
+    return (_sweep_row(cfg, streams, fleet) for fleet in range(n_min, n_max + 1))
+
+
+def _sweep_row(cfg: SimConfig, streams: list, fleet: int) -> SweepRow:
+    reports = [
+        compute_metrics(run_simulation(replace(cfg, fleet=fleet, seed=cfg.seed + k), riders))
+        for k, riders in enumerate(streams)
+    ]
+    means = {name: sum(getattr(r, name) for r in reports) / len(reports) for name in _SEED_MEANS}
+    return SweepRow(fleet=fleet, **means, wait_ok=check_wait_target(means["mean_wait"]))
+
+
+def first_passing(rows: Iterable[SweepRow]) -> int | None:
+    """Fleet of the first row whose mean wait meets the target, or None."""
+    return next((row.fleet for row in rows if row.wait_ok), None)
 
 
 # -- plot-ready output files -------------------------------------------------

@@ -81,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import placement_node
-from .demand import DemandRates, RiderRequest, generate_arrivals
+from .demand import DemandRates, RiderRequest, check_demand_in_range, generate_arrivals
 from .errors import ConfigError
 from .network import RouteNetwork, VehicleSpec
 
@@ -233,11 +233,7 @@ class Simulation:
         n = cfg.net.n
         if cfg.rates.per_min.shape != (n, n):
             raise ConfigError("demand rate matrix does not match the network size")
-        rows, cols = np.nonzero(
-            (cfg.rates.per_min > 0) & ~cfg.net.feasible & ~np.eye(n, dtype=bool))
-        if rows.size:
-            bad = list(zip(rows.tolist(), cols.tolist()))
-            raise ConfigError(f"demand on infeasible routes (exceeds range): {bad}")
+        check_demand_in_range(cfg.rates, cfg.net)
         start = placement_node(cfg.initial_placement)
         if start is not None and not 0 <= start < n:
             raise ConfigError(f"initial placement node {start} out of range")

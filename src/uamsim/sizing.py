@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
-from .demand import DemandRates
+from .demand import DemandRates, check_demand_in_range
 from .errors import SizingError, ValidationError
 from .network import RouteNetwork, VehicleSpec
 
@@ -106,7 +106,12 @@ def size_fleet(
     alpha: float = 2.0,
     pooling_q: float = 3.0,
 ) -> SizingReport:
-    """Run the whole estimator chain and return every intermediate."""
+    """Run the whole estimator chain and return every intermediate.
+
+    Demand on a pair beyond the aircraft's range is refused, as the
+    simulator refuses it.
+    """
+    check_demand_in_range(rates, net)
     t_avg = avg_cycle_time(net, spec)
     cycles = cycles_per_hour(t_avg)
     cap = hourly_capacity(cycles, pooling_q, spec.capacity)

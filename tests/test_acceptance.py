@@ -327,11 +327,11 @@ def test_criterion_07_metrics_oracle_equivalence(tmp_path):
 def test_criterion_08_sweep_monotonicity(net, spec, baseline_rates):
     t0 = time.perf_counter()
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=4, t_sim=1200, seed=0)
-    refined = refine_fleet(cfg, seeds=20, n_min=4, n_max=40)
+    rows = list(refine_fleet(cfg, seeds=20, n_min=4, n_max=40))
     elapsed = time.perf_counter() - t0
-    waits = [row.mean_wait for row in refined.rows]
+    waits = [row.mean_wait for row in rows]
     violations = [
-        (refined.rows[i].fleet, waits[i], waits[i + 1])
+        (rows[i].fleet, waits[i], waits[i + 1])
         for i in range(len(waits) - 1)
         if waits[i + 1] > waits[i] + 0.5
     ]

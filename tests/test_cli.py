@@ -198,6 +198,34 @@ def test_simulate_without_fleet_uses_sizing_and_refinement(scenario_dir, tmp_pat
     assert report["metrics"]["wait_ok"]
 
 
+def test_simulate_refinement_stops_at_its_answer(scenario_dir, tmp_path, monkeypatch):
+    """With no fleet pinned, simulate runs sizes upward from the analytical
+    estimate (8) only until one meets the wait target (16): 9 sizes x 2
+    seeds, not every size up to the refinement bound of 32."""
+    import uamsim.metrics
+    from uamsim import run_simulation
+
+    fleets_run = []
+
+    def counted(cfg, riders=None):
+        fleets_run.append(cfg.fleet)
+        return run_simulation(cfg, riders)
+
+    monkeypatch.setattr(uamsim.metrics, "run_simulation", counted)
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["fleet"] = None
+    doc["seeds"] = 2
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json",
+        "--out", out_dir, "--seed", "5", "--minutes", "300",
+    ) == EXIT_OK
+    assert json.loads((out_dir / "report.json").read_text())["refined_fleet"] == 16
+    assert len(fleets_run) == 18
+    assert fleets_run == [fleet for fleet in range(8, 17) for _ in range(2)]
+
+
 def test_heatmap_demand_matches_od(scenario_dir, tmp_path):
     out_dir = tmp_path / "out"
     assert run_cli(
@@ -219,6 +247,56 @@ def test_sweep_infeasible_exits_3(scenario_dir, tmp_path, capsys):
     )
     assert code == EXIT_INFEASIBLE
     assert "infeasible within bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("--n-min", "0"), "n_min must be at least 1, got 0"),
+    (("--n-min", "5", "--n-max", "4"), "n_max 4 below n_min 5"),
+])
+def test_sweep_bad_bounds_exit_2(scenario_dir, tmp_path, capsys, bounds, message):
+    code = run_cli(
+        "sweep", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
+        *bounds, "--seeds", "1", "--minutes", "60",
+    )
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def write_short_range(scenario_dir) -> None:
+    """A 20-mile aircraft: SFO-SJC and OAK-SJC (~30 mi) are beyond range."""
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["vehicle"]["max_range_mi"] = 20.0
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+
+
+def test_compare_prices_no_flight_beyond_range(scenario_dir, capsys):
+    assert run_cli("compare", "--config", scenario_dir / "config.json") == EXIT_OK
+    full = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:-1]}
+    write_short_range(scenario_dir)
+    assert run_cli("compare", "--config", scenario_dir / "config.json") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    short = {line.split()[0]: line.split() for line in captured.out.splitlines()[1:-1]}
+    assert short.keys() == full.keys()
+    for pair in ("SFO-SJC", "OAK-SJC"):
+        # pair, gc mi, the mark, then the car's minutes and cost; no air
+        # time, air cost or saving
+        gc_mi, car_min, car_cost = full[pair][1], full[pair][4], full[pair][5]
+        assert short[pair] == [pair, gc_mi, "beyond", "range", car_min, car_cost]
+    for pair in full.keys() - {"SFO-SJC", "OAK-SJC"}:
+        assert short[pair] == full[pair]
+
+
+def test_size_fleet_refuses_demand_beyond_range(scenario_dir, tmp_path, capsys):
+    write_short_range(scenario_dir)
+    message = "error: demand on infeasible routes (exceeds range): [(0, 2), (1, 2), (2, 0), (2, 1)]\n"
+    for argv in (["size-fleet"], ["simulate", "--out", tmp_path / "out"]):
+        assert run_cli(*argv, "--config", scenario_dir / "config.json") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
 
 
 def test_unknown_config_key_exits_2(scenario_dir):

@@ -22,6 +22,7 @@ from uamsim import (
     cycle_utilization,
     effective_cost_car,
     effective_cost_uam,
+    first_passing,
     load_factor,
     refine_fleet,
     run_simulation,
@@ -234,26 +235,28 @@ def test_metrics_ordering_on_live_run(net, spec, baseline_rates):
 def test_refine_fleet_zero_demand(net, spec):
     rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=60)
-    refined = refine_fleet(cfg, seeds=2, n_min=1, n_max=3)
-    assert refined.fleet == 1
-    assert len(refined.rows) == 3
+    rows = list(refine_fleet(cfg, seeds=2, n_min=1, n_max=3))
+    assert first_passing(rows) == 1
+    assert len(rows) == 3
 
 
 def test_refine_fleet_infeasible_within_bound(net, spec, baseline_rates):
     heavy = DemandRates(per_min=baseline_rates.per_min * 6)
     cfg = SimConfig(net=net, spec=spec, rates=heavy, fleet=1, t_sim=400, seed=1)
-    refined = refine_fleet(cfg, seeds=2, n_min=1, n_max=2)
-    assert not refined.feasible
-    assert refined.fleet is None
-    assert len(refined.rows) == 2
+    rows = list(refine_fleet(cfg, seeds=2, n_min=1, n_max=2))
+    assert not any(row.wait_ok for row in rows)
+    assert first_passing(rows) is None
+    assert len(rows) == 2
 
 
 def test_refine_fleet_picks_smallest_passing(net, spec, baseline_rates):
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=400, seed=0)
-    refined = refine_fleet(cfg, seeds=3, n_min=8, n_max=24)
-    assert refined.feasible
-    first_ok = next(row.fleet for row in refined.rows if row.wait_ok)
-    assert refined.fleet == first_ok
+    rows = list(refine_fleet(cfg, seeds=3, n_min=8, n_max=24))
+    assert [row.fleet for row in rows] == list(range(8, 25))
+    fleet = first_passing(rows)
+    assert fleet is not None
+    first_ok = next(row.fleet for row in rows if row.wait_ok)
+    assert fleet == first_ok
 
 
 def test_refine_fleet_samples_each_seed_once(net, spec, baseline_rates, monkeypatch):
@@ -270,6 +273,51 @@ def test_refine_fleet_samples_each_seed_once(net, spec, baseline_rates, monkeypa
     for module in (uamsim.metrics, uamsim.simulate):
         monkeypatch.setattr(module, "generate_arrivals", counted)
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=200, seed=4)
-    refined = refine_fleet(cfg, seeds=3, n_min=1, n_max=5)
-    assert len(refined.rows) == 5
+    rows = refine_fleet(cfg, seeds=3, n_min=1, n_max=5)
+    assert seeds_sampled == [4, 5, 6]  # every stream, before the first row
+    assert len(list(rows)) == 5
     assert seeds_sampled == [4, 5, 6]
+
+
+@pytest.mark.parametrize("seeds, n_min, n_max, message", [
+    (2, 0, 3, "n_min must be at least 1, got 0"),
+    (2, 5, 4, "n_max 4 below n_min 5"),
+    (0, 1, 3, "seeds must be at least 1, got 0"),
+])
+def test_refine_fleet_checks_its_arguments_at_the_call(net, spec, baseline_rates,
+                                                       seeds, n_min, n_max, message):
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=60)
+    with pytest.raises(ValidationError, match=message):
+        refine_fleet(cfg, seeds=seeds, n_min=n_min, n_max=n_max)  # never iterated
+
+
+def test_refine_fleet_runs_a_size_only_when_its_row_is_read(net, spec, baseline_rates, monkeypatch):
+    import uamsim.metrics
+
+    fleets_run = []
+
+    def counted(cfg, riders=None):
+        fleets_run.append(cfg.fleet)
+        return run_simulation(cfg, riders)
+
+    monkeypatch.setattr(uamsim.metrics, "run_simulation", counted)
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=200, seed=4)
+    rows = refine_fleet(cfg, seeds=2, n_min=3, n_max=6)
+    assert fleets_run == []
+    assert next(rows).fleet == 3
+    assert fleets_run == [3, 3]
+    assert [row.fleet for row in rows] == [4, 5, 6]
+    assert fleets_run == [3, 3, 4, 4, 5, 5, 6, 6]
+
+
+def test_sweep_row_is_the_seed_mean_of_each_report_field(net, spec, baseline_rates):
+    from dataclasses import replace
+
+    cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=300, seed=7)
+    (row,) = refine_fleet(cfg, seeds=3, n_min=6, n_max=6)
+    reports = [compute_metrics(run_simulation(replace(cfg, fleet=6, seed=7 + k))) for k in range(3)]
+    for name in ("mean_wait", "p95_wait", "served", "unserved", "u_air", "u_cycle", "load_factor"):
+        values = [getattr(r, name) for r in reports]
+        assert getattr(row, name) == (values[0] + values[1] + values[2]) / 3, name
+    assert row.fleet == 6
+    assert row.wait_ok == (row.mean_wait <= 10.0)
