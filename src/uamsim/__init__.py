@@ -13,7 +13,6 @@ from .demand import (
     DemandRates,
     ODMatrix,
     RiderRequest,
-    check_demand_in_range,
     compute_rates,
     expected_arrivals,
     generate_arrivals,
