@@ -28,15 +28,11 @@ from .errors import (
 from .metrics import (
     MetricsReport,
     SweepRow,
-    air_utilization,
-    check_utilization_band,
     check_wait_target,
     compute_metrics,
-    cycle_utilization,
     effective_cost_car,
     effective_cost_uam,
     first_passing,
-    load_factor,
     refine_fleet,
     throughput_matrix,
     time_savings,
@@ -65,15 +61,6 @@ from .simulate import (
     write_riders_csv,
     write_trips_csv,
 )
-from .sizing import (
-    SizingReport,
-    avg_cycle_time,
-    base_fleet,
-    cycles_per_hour,
-    hourly_capacity,
-    hourly_demand,
-    robust_fleet,
-    size_fleet,
-)
+from .sizing import SizingReport, avg_cycle_time, size_fleet
 
 __version__ = "0.1.0"

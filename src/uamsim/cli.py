@@ -58,45 +58,53 @@ def finite_float(text: str) -> float:
     return value
 
 
+# every flag but --out, --n-min and --n-max overrides the ScenarioConfig
+# field named by its dest
+_FLAGS = {
+    "--out": dict(help="output directory (default: ./out)"),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--minutes": dict(type=int, dest="t_sim_min", help="simulation horizon in minutes"),
+    "--fleet": dict(type=int, help="fleet size override"),
+    "--alpha": dict(type=finite_float, help="sizing safety factor"),
+    "--seeds": dict(type=int, help="replicate count for averaging"),
+    "--wait": dict(type=finite_float, dest="compare_wait_min", help="assumed rider wait in minutes"),
+    "--n-min": dict(type=int, default=1, help="smallest fleet size (default 1)"),
+    "--n-max": dict(type=int, default=40, help="largest fleet size (default 40)"),
+}
+
+# each command with its help and the flags it reads besides --config
+_COMMAND_FLAGS = {
+    "distances": ("print distance/air-time/feasibility matrices", ()),
+    "demand": ("print arrival-rate matrix and expected arrivals", ("--minutes",)),
+    "size-fleet": ("print the analytical sizing report as JSON", ("--alpha",)),
+    "simulate": ("run one simulation and write report/log files",
+                 ("--out", "--seed", "--minutes", "--fleet", "--alpha", "--seeds")),
+    "compare": ("door-to-door cost/time table vs driving", ("--wait",)),
+    "sweep": ("sweep fleet sizes and pick the smallest passing one",
+              ("--out", "--seed", "--minutes", "--seeds", "--n-min", "--n-max")),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uamsim",
         description="Air-taxi network simulator: demand, fleet sizing, dispatch, and costs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON document")
-        p.add_argument("--out", default=None, help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--minutes", type=int, default=None, help="simulation horizon in minutes")
-        p.add_argument("--fleet", type=int, default=None, help="fleet size override")
-        p.add_argument("--alpha", type=finite_float, default=None, help="sizing safety factor")
-        p.add_argument("--seeds", type=int, default=None, help="replicate count for averaging")
-        return p
-
-    common(sub.add_parser("distances", help="print distance/air-time/feasibility matrices"))
-    common(sub.add_parser("demand", help="print arrival-rate matrix and expected arrivals"))
-    common(sub.add_parser("size-fleet", help="print the analytical sizing report as JSON"))
-    common(sub.add_parser("simulate", help="run one simulation and write report/log files"))
-    compare = common(sub.add_parser("compare", help="door-to-door cost/time table vs driving"))
-    compare.add_argument("--wait", type=finite_float, default=None, help="assumed rider wait in minutes")
-    sweep = common(sub.add_parser("sweep", help="sweep fleet sizes and pick the smallest passing one"))
-    sweep.add_argument("--n-min", type=int, default=None, help="smallest fleet size (default 1)")
-    sweep.add_argument("--n-max", type=int, default=None, help="largest fleet size (default 40)")
+        for flag in flags:
+            p.add_argument(flag, metavar=flag[2:].replace("-", "_").upper(), **_FLAGS[flag])
     return parser
 
 
+_SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
+
+
 def _load(args) -> ScenarioConfig:
-    cfg = load_scenario(args.config)
-    return override_scenario(
-        cfg,
-        seed=args.seed,
-        t_sim_min=args.minutes,
-        fleet=args.fleet,
-        alpha=args.alpha,
-        seeds=args.seeds,
-    )
+    overrides = {name: value for name, value in vars(args).items() if name in _SCENARIO_FIELDS}
+    return override_scenario(load_scenario(args.config), **overrides)
 
 
 def _out_dir(args) -> Path:
@@ -106,7 +114,7 @@ def _out_dir(args) -> Path:
 
 
 # scenario fields a run takes under the same name (fleet is passed per run)
-_SHARED_FIELDS = {f.name for f in fields(SimConfig)} & {f.name for f in fields(ScenarioConfig)}
+_SHARED_FIELDS = {f.name for f in fields(SimConfig)} & _SCENARIO_FIELDS
 
 
 def _sim_config(cfg: ScenarioConfig, net, rates, fleet: int) -> SimConfig:
@@ -218,7 +226,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = override_scenario(_load(args), compare_wait_min=args.wait)
+    cfg = _load(args)
     if cfg.cost is None:
         raise ValidationError("compare needs a 'cost' section in the scenario config")
     _, net, _, _ = build_world(cfg)
@@ -253,8 +261,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     _, net, _, rates = build_world(cfg)
     out = _out_dir(args)
-    n_min = args.n_min if args.n_min is not None else 1
-    n_max = args.n_max if args.n_max is not None else 40
+    n_min, n_max = args.n_min, args.n_max
     rows = list(refine_fleet(_sim_config(cfg, net, rates, n_min), cfg.seeds, n_min, n_max))
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"{'fleet':>6}{'mean wait':>11}{'p95':>7}{'served':>9}{'u_air':>8}{'u_cycle':>9}{'wait ok':>9}")

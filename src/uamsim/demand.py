@@ -110,9 +110,10 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
     """Read an ``od.csv`` file (header ``origin,dest,monthly_pax``).
 
     Unlisted pairs default to zero; repeated pairs accumulate, matching how
-    market datasets report one row per carrier.  Rows referencing codes not
-    in the network, negative counts, origin == dest, or a pair total beyond
-    int64 are rejected with the offending line number in the message.
+    market datasets report one row per carrier.  Rows with more cells than
+    the header, referencing codes not in the network, negative counts,
+    origin == dest, or a pair total beyond int64 are rejected with the
+    offending line number in the message.
     """
     path = Path(path)
     if not path.exists():
@@ -125,6 +126,9 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
             raise IngestionError(f"{path}: expected header {','.join(expected)!r}, got {reader.fieldnames}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files the cells beyond the header under None
+                cells = len(expected) + len(row[None])
+                raise IngestionError(f"{path}:{lineno}: {cells} cells, but the header has {len(expected)}")
             origin = (row["origin"] or "").strip()
             dest = (row["dest"] or "").strip()
             if origin not in index:

@@ -21,7 +21,7 @@ import numpy as np
 from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
-from .simulate import REVENUE, SimConfig, SimResult, TripRecord, run_simulation
+from .simulate import REVENUE, SimConfig, SimResult, run_simulation
 
 WAIT_TARGET_MIN = 10.0
 U_AIR_BAND = (0.60, 0.70)
@@ -32,8 +32,13 @@ LOAD_TARGET = 0.70
 class MetricsReport:
     """Headline service metrics for one run plus target pass/fail flags.
 
-    The served rider count per pair is ``throughput_matrix``, built only by
-    a caller that writes it.
+    The utilizations are shares of the fleet's minutes (fleet times
+    horizon): ``u_air`` counts revenue flying, ``u_air_incl_reposition``
+    adds repositioning, and ``u_cycle`` adds taxi buffer and charging too.
+    ``load_factor`` is riders over seats flown on revenue legs, one exact
+    integer ratio, so it can be recomputed bit-for-bit from the trip log;
+    it is 0.0 when no revenue leg flew.  The served rider count per pair
+    is ``throughput_matrix``, built only by a caller that writes it.
     """
 
     mean_wait: float
@@ -69,26 +74,6 @@ def check_wait_target(mean_wait: float) -> bool:
     return mean_wait <= WAIT_TARGET_MIN
 
 
-def air_utilization(result: SimResult, include_reposition: bool = False) -> float:
-    """Airborne fleet-minutes over total fleet-minutes (revenue legs only
-    by default)."""
-    total = result.config.fleet * result.config.t_sim
-    air = sum(v.revenue_air_min for v in result.vehicles)
-    if include_reposition:
-        air += sum(v.reposition_air_min for v in result.vehicles)
-    return air / total
-
-
-def cycle_utilization(result: SimResult) -> float:
-    """Busy fleet-minutes (flying, repositioning, buffer, charging) over total."""
-    total = result.config.fleet * result.config.t_sim
-    busy = sum(
-        v.revenue_air_min + v.reposition_air_min + v.buffer_min + v.charge_min
-        for v in result.vehicles
-    )
-    return busy / total
-
-
 def utilization_band(u_air: float) -> str:
     low, high = U_AIR_BAND
     if u_air < low:
@@ -98,28 +83,12 @@ def utilization_band(u_air: float) -> str:
     return "in_band"
 
 
-def check_utilization_band(u_air: float) -> bool:
-    return utilization_band(u_air) == "in_band"
-
-
 def throughput_matrix(result: SimResult) -> np.ndarray:
     """Dropped-off rider counts per ordered pair."""
     n = result.config.net.n
     pairs = np.fromiter(
         (r.origin * n + r.dest for r in result.riders if r.dropoff_min is not None), dtype=np.int64)
     return np.bincount(pairs, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
-
-
-def load_factor(trips: Sequence[TripRecord], capacity: int) -> float:
-    """Mean seat occupancy over revenue trips.
-
-    Computed as one exact integer ratio (total riders over total seats
-    flown) so the value can be recomputed bit-for-bit from the trip log.
-    """
-    revenue = [t for t in trips if t.kind == REVENUE]
-    if not revenue:
-        raise MetricsError("no revenue trips: load factor is undefined")
-    return sum(len(t.rider_ids) for t in revenue) / (capacity * len(revenue))
 
 
 def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) -> MetricsReport:
@@ -134,11 +103,16 @@ def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) ->
         mean_wait, p95 = wait_stats(waits)
     else:
         mean_wait, p95 = 0.0, 0.0
-    u_air = air_utilization(result)
-    try:
-        lf = load_factor(result.trips, result.config.spec.capacity)
-    except MetricsError:
-        lf = 0.0
+    revenue = reposition = ground = 0
+    for v in result.vehicles:
+        revenue += v.revenue_air_min
+        reposition += v.reposition_air_min
+        ground += v.buffer_min + v.charge_min
+    total = result.config.fleet * result.config.t_sim
+    u_air = revenue / total
+    band = utilization_band(u_air)
+    groups = [t.rider_ids for t in result.trips if t.kind == REVENUE]
+    lf = sum(map(len, groups)) / (result.config.spec.capacity * len(groups)) if groups else 0.0
     return MetricsReport(
         mean_wait=mean_wait,
         p95_wait=p95,
@@ -146,12 +120,12 @@ def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) ->
         unserved=result.unserved,
         onboard_at_end=result.onboard_at_end,
         u_air=u_air,
-        u_air_incl_reposition=air_utilization(result, include_reposition=True),
-        u_cycle=cycle_utilization(result),
+        u_air_incl_reposition=(revenue + reposition) / total,
+        u_cycle=(revenue + reposition + ground) / total,
         load_factor=lf,
         wait_ok=check_wait_target(mean_wait),
-        u_air_ok=check_utilization_band(u_air),
-        u_air_band=utilization_band(u_air),
+        u_air_ok=band == "in_band",
+        u_air_band=band,
         load_ok=lf >= LOAD_TARGET,
     )
 

@@ -150,7 +150,10 @@ def build_network(nodes: list[GeoNode], spec: VehicleSpec) -> RouteNetwork:
 
 
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:
-    """Read a ``nodes.csv`` file (header ``id,code,lat,lon``) into GeoNodes."""
+    """Read a ``nodes.csv`` file (header ``id,code,lat,lon``) into GeoNodes.
+
+    A row with more cells than the header is rejected with its line number.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"nodes file not found: {path}")
@@ -161,6 +164,9 @@ def load_nodes_csv(path: str | Path) -> list[GeoNode]:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
             raise IngestionError(f"{path}: expected header {','.join(expected)!r}, got {reader.fieldnames}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files the cells beyond the header under None
+                cells = len(expected) + len(row[None])
+                raise IngestionError(f"{path}:{lineno}: {cells} cells, but the header has {len(expected)}")
             try:
                 nodes.append(
                     GeoNode(

@@ -3,8 +3,9 @@
 The chain is deliberately simple: an unweighted average mission cycle over
 all ordered pairs, cycles per hour, seats moved per aircraft-hour under an
 assumed pooling level, hourly system demand, and a ceiling-rounded safety
-factor on the ratio.  The simulation-driven refinement that corrects this
-estimate lives in :mod:`uamsim.metrics`.
+factor on the ratio.  ``size_fleet`` runs the whole chain, and each link
+is a field of the ``SizingReport`` it returns.  The simulation-driven
+refinement that corrects this estimate lives in :mod:`uamsim.metrics`.
 """
 
 from __future__ import annotations
@@ -54,51 +55,6 @@ def avg_cycle_time(net: RouteNetwork, spec: VehicleSpec) -> float:
     return total / (net.n * (net.n - 1))
 
 
-def cycles_per_hour(avg_cycle_min: float) -> float:
-    """Missions one aircraft completes per hour."""
-    if avg_cycle_min <= 0:
-        raise SizingError(f"average cycle time must be positive, got {avg_cycle_min}")
-    return 60.0 / avg_cycle_min
-
-
-def hourly_capacity(cycles: float, pooling_q: float, capacity: int = 4) -> float:
-    """Passengers one aircraft moves per hour at a given pooling level."""
-    if not 0 < pooling_q <= capacity:
-        raise ValidationError(f"pooling_q must be in (0, {capacity}], got {pooling_q}")
-    return cycles * pooling_q
-
-
-def hourly_demand(rates: DemandRates) -> float:
-    """System demand in passengers per hour."""
-    return 60.0 * rates.total_rate
-
-
-def base_fleet(demand_per_hour: float, capacity_per_hour: float) -> float:
-    """Fractional aircraft count that balances demand against capacity."""
-    if capacity_per_hour <= 0:
-        raise SizingError(f"hourly capacity must be positive, got {capacity_per_hour}")
-    return demand_per_hour / capacity_per_hour
-
-
-def robust_fleet(n_base: float, alpha: float) -> int:
-    """Ceiling-rounded fleet after applying the safety factor.
-
-    Warns (does not fail) when alpha falls outside the customary
-    ``ALPHA_BAND``; the clustering/repositioning slack it buys is judged by
-    simulation, not here.
-    """
-    if alpha <= 0:
-        raise ValidationError(f"safety factor must be positive, got {alpha}")
-    if n_base < 0:
-        raise ValidationError(f"base fleet must be nonnegative, got {n_base}")
-    if not ALPHA_BAND[0] <= alpha <= ALPHA_BAND[1]:
-        warnings.warn(
-            f"safety factor {alpha} outside the usual band {ALPHA_BAND}",
-            stacklevel=2,
-        )
-    return math.ceil(alpha * n_base)
-
-
 def size_fleet(
     net: RouteNetwork,
     spec: VehicleSpec,
@@ -109,15 +65,25 @@ def size_fleet(
     """Run the whole estimator chain and return every intermediate.
 
     Demand on a pair beyond the aircraft's range is refused, as the
-    simulator refuses it.
+    simulator refuses it.  A safety factor outside the customary
+    ``ALPHA_BAND`` draws a warning, not an error: the clustering and
+    repositioning slack it buys is judged by simulation, not here.
     """
     check_demand_in_range(rates, net)
     t_avg = avg_cycle_time(net, spec)
-    cycles = cycles_per_hour(t_avg)
-    cap = hourly_capacity(cycles, pooling_q, spec.capacity)
-    demand = hourly_demand(rates)
-    n_base = base_fleet(demand, cap)
-    fleet = robust_fleet(n_base, alpha)
+    if not 0 < pooling_q <= spec.capacity:
+        raise ValidationError(f"pooling_q must be in (0, {spec.capacity}], got {pooling_q}")
+    if alpha <= 0:
+        raise ValidationError(f"safety factor must be positive, got {alpha}")
+    if not ALPHA_BAND[0] <= alpha <= ALPHA_BAND[1]:
+        warnings.warn(f"safety factor {alpha} outside the usual band {ALPHA_BAND}", stacklevel=2)
+    # no divisor below can be zero nor the fleet negative: turnaround >= 1
+    # makes the cycle positive, pooling_q > 0 the capacity, and the rates
+    # are nonnegative
+    cycles = 60.0 / t_avg
+    cap = cycles * pooling_q
+    demand = 60.0 * rates.total_rate
+    n_base = demand / cap
     return SizingReport(
         avg_cycle_min=t_avg,
         cycles_per_hour=cycles,
@@ -125,6 +91,6 @@ def size_fleet(
         demand_per_hour=demand,
         base_fleet=n_base,
         safety_factor=alpha,
-        fleet=fleet,
+        fleet=math.ceil(alpha * n_base),
         pooling_q=pooling_q,
     )

@@ -434,6 +434,22 @@ def test_od_pair_total_beyond_int64_exits_2(scenario_dir, capsys, rows, line, to
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("name, line, row, message", [
+    # "1,300" typed with a comma read as 1 passenger, and demand exited 0
+    ("od.csv", 2, "SFO,OAK,1,300", "od.csv:2: 4 cells, but the header has 3"),
+    ("nodes.csv", 3, "1,OAK,37.7213,-122.2210,x", "nodes.csv:3: 5 cells, but the header has 4"),
+])
+def test_row_with_more_cells_than_the_header_exits_2(scenario_dir, capsys, name, line, row, message):
+    path = scenario_dir / name
+    lines = path.read_text().splitlines()
+    lines[line - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["distances", "demand", "size-fleet", "simulate", "compare", "sweep"])
 def test_bad_placement_rule_exits_2_from_every_command(scenario_dir, tmp_path, capsys, command):
     # distances, demand, size-fleet and compare once exited 0: only a
@@ -441,10 +457,10 @@ def test_bad_placement_rule_exits_2_from_every_command(scenario_dir, tmp_path, c
     doc = json.loads((scenario_dir / "config.json").read_text())
     doc["initial_placement"] = "everywhere"
     (scenario_dir / "config.json").write_text(json.dumps(doc))
-    assert run_cli(
-        command, "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
-        "--minutes", "60",
-    ) == EXIT_CONFIG
+    argv = [command, "--config", scenario_dir / "config.json"]
+    if command in ("simulate", "sweep"):
+        argv += ["--out", tmp_path / "out", "--minutes", "60"]
+    assert run_cli(*argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "unknown initial placement rule 'everywhere'" in captured.err
     assert captured.out == ""
@@ -475,11 +491,36 @@ def test_mistyped_path_or_section_exits_2(scenario_dir, tmp_path, capsys, field,
     ("simulate", "--alpha", "nan"),  # was exit 1, a traceback from robust_fleet
     ("compare", "--wait", "inf"),
 ])
-def test_non_finite_flag_exits_2(scenario_dir, tmp_path, capsys, argv):
+def test_non_finite_flag_exits_2(scenario_dir, capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path / "out")
+        run_cli(*argv, "--config", scenario_dir / "config.json")
     assert exit_info.value.code == EXIT_CONFIG
     assert "invalid finite_float value" in capsys.readouterr().err
+
+
+# every (command, flag) pair the command once accepted and ignored
+IGNORED_FLAGS = [
+    (command, flag)
+    for command, flags in [
+        ("distances", ("--out", "--seed", "--minutes", "--fleet", "--alpha", "--seeds")),
+        ("demand", ("--out", "--seed", "--fleet", "--alpha", "--seeds")),
+        ("size-fleet", ("--out", "--seed", "--minutes", "--fleet", "--seeds")),
+        ("compare", ("--out", "--seed", "--minutes", "--fleet", "--alpha", "--seeds")),
+        ("sweep", ("--fleet", "--alpha")),
+    ]
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS)
+def test_command_refuses_a_flag_it_does_not_read(scenario_dir, capsys, command, flag):
+    # each exited 0: `sweep --fleet 3 --alpha 100` ignored both
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--config", scenario_dir / "config.json", flag, "3")
+    assert exit_info.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"uamsim: error: unrecognized arguments: {flag} 3" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @contextlib.contextmanager
@@ -496,7 +537,7 @@ def gc_state(enabled: bool):
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("argv, missing_config, code", [
     (("simulate", "--fleet", "2", "--minutes", "60"), False, EXIT_OK),
-    (("demand",), True, EXIT_CONFIG),
+    (("simulate",), True, EXIT_CONFIG),
     (("sweep", "--n-max", "1", "--minutes", "600", "--seeds", "1"), False, EXIT_INFEASIBLE),
 ], ids=["exit-0", "exit-2", "exit-3"])
 def test_main_leaves_gc_as_it_found_it(scenario_dir, tmp_path, enabled, argv, missing_config, code):

@@ -15,15 +15,11 @@ from uamsim import (
     ValidationError,
     VehicleSpec,
     VehicleStats,
-    air_utilization,
-    check_utilization_band,
     check_wait_target,
     compute_metrics,
-    cycle_utilization,
     effective_cost_car,
     effective_cost_uam,
     first_passing,
-    load_factor,
     refine_fleet,
     run_simulation,
     throughput_matrix,
@@ -31,7 +27,7 @@ from uamsim import (
     utilization_band,
     wait_stats,
 )
-from uamsim.simulate import REVENUE, SimResult
+from uamsim.simulate import REPOSITION, REVENUE, SimResult
 
 SFO_SJC_MI = 30.206454  # oracle distance, frozen in test_network
 
@@ -78,41 +74,45 @@ def test_wait_target_boundary():
 
 # -- utilization ------------------------------------------------------------------
 
-def _result_with_vehicle_minutes(net, spec, rates, rev, repo, buf, chg, idle, t_sim=1200):
+def _result_with_vehicle_minutes(net, spec, rev, repo, buf, chg, idle, t_sim=1200, trips=()):
+    """A one-aircraft day with the given bucket minutes and trip log."""
+    rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=t_sim)
     stats = VehicleStats(0, rev, repo, buf, chg, idle, "idle", 0)
     return SimResult(
-        config=cfg, trips=(), riders=(), vehicles=(stats,),
+        config=cfg, trips=trips, riders=(), vehicles=(stats,),
         generated=0, served=0, onboard_at_end=0, unserved=0,
     )
 
 
 def test_air_utilization_half(net, spec):
-    rates = DemandRates(per_min=np.zeros((net.n, net.n)))
-    result = _result_with_vehicle_minutes(net, spec, rates, 600, 0, 0, 0, 600)
-    assert air_utilization(result) == 0.5
+    result = _result_with_vehicle_minutes(net, spec, 600, 0, 0, 0, 600)
+    assert compute_metrics(result).u_air == 0.5
 
 
 def test_idle_fleet_zero_utilization(net, spec):
-    rates = DemandRates(per_min=np.zeros((net.n, net.n)))
-    result = _result_with_vehicle_minutes(net, spec, rates, 0, 0, 0, 0, 1200)
-    assert air_utilization(result) == 0.0
-    assert cycle_utilization(result) == 0.0
+    report = compute_metrics(_result_with_vehicle_minutes(net, spec, 0, 0, 0, 0, 1200))
+    assert report.u_air == 0.0
+    assert report.u_air_incl_reposition == 0.0
+    assert report.u_cycle == 0.0
 
 
 def test_busy_every_minute_is_full_cycle(net, spec):
-    rates = DemandRates(per_min=np.zeros((net.n, net.n)))
-    result = _result_with_vehicle_minutes(net, spec, rates, 500, 200, 250, 250, 0)
-    assert cycle_utilization(result) == 1.0
-    assert air_utilization(result) == pytest.approx(500 / 1200)
-    assert air_utilization(result, include_reposition=True) == pytest.approx(700 / 1200)
+    report = compute_metrics(_result_with_vehicle_minutes(net, spec, 500, 200, 250, 250, 0))
+    assert report.u_cycle == 1.0
+    assert report.u_air == pytest.approx(500 / 1200)
+    assert report.u_air_incl_reposition == pytest.approx(700 / 1200)
 
 
-def test_utilization_band_classification():
-    assert utilization_band(0.65) == "in_band" and check_utilization_band(0.65)
-    assert utilization_band(0.858) == "overstressed" and not check_utilization_band(0.858)
-    assert utilization_band(0.40) == "under_utilized" and not check_utilization_band(0.40)
-    assert check_utilization_band(0.60) and check_utilization_band(0.70)
+def test_utilization_band_classification(net, spec):
+    assert utilization_band(0.65) == "in_band"
+    assert utilization_band(0.858) == "overstressed"
+    assert utilization_band(0.40) == "under_utilized"
+    # both band edges are in band: 720 and 840 of 1200 minutes
+    for rev, band in [(480, "under_utilized"), (720, "in_band"), (780, "in_band"),
+                      (840, "in_band"), (1030, "overstressed")]:
+        report = compute_metrics(_result_with_vehicle_minutes(net, spec, rev, 0, 0, 0, 1200 - rev))
+        assert (report.u_air_band, report.u_air_ok) == (band, band == "in_band"), rev
 
 
 # -- throughput and load factor ----------------------------------------------------
@@ -146,16 +146,22 @@ def test_throughput_counts_dropoffs_per_pair(net, spec, baseline_rates):
     assert matrix[some.origin, some.dest] >= 1
 
 
-def test_load_factor():
+def test_load_factor(net, spec):
+    def load(trips):
+        return compute_metrics(_result_with_vehicle_minutes(net, spec, 0, 0, 0, 0, 1200, trips=trips))
+
     trips = tuple(
         TripRecord(0, REVENUE, 0, 1, m, m + 10, tuple(range(3)))
         for m in range(0, 40, 20)
     )
-    assert load_factor(trips, capacity=4) == 0.75
+    assert load(trips).load_factor == 0.75
     solo = (TripRecord(0, REVENUE, 0, 1, 0, 10, (1,)),)
-    assert load_factor(solo, capacity=4) == 0.25
-    with pytest.raises(MetricsError):
-        load_factor((), capacity=4)
+    assert load(solo).load_factor == 0.25
+    assert load(trips).load_ok and not load(solo).load_ok
+    # a reposition leg carries no seats: with no revenue leg the factor is 0.0
+    assert load(trips + (TripRecord(0, REPOSITION, 1, 0, 50, 60, ()),)).load_factor == 0.75
+    assert load(()).load_factor == 0.0
+    assert load((TripRecord(0, REPOSITION, 1, 0, 50, 60, ()),)).load_factor == 0.0
 
 
 # -- effective cost ------------------------------------------------------------------

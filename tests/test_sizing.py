@@ -1,4 +1,4 @@
-"""Analytical fleet estimator chain, end to end and op by op."""
+"""Analytical fleet estimator chain, end to end and link by link."""
 
 from __future__ import annotations
 
@@ -14,12 +14,7 @@ from uamsim import (
     ValidationError,
     VehicleSpec,
     avg_cycle_time,
-    base_fleet,
     build_network,
-    cycles_per_hour,
-    hourly_capacity,
-    hourly_demand,
-    robust_fleet,
     size_fleet,
 )
 from uamsim.network import EARTH_RADIUS_MI, GeoNode
@@ -29,6 +24,15 @@ def equator_pair(miles: float, spec: VehicleSpec):
     """Two-node network: nodes on the equator ``miles`` of arc apart."""
     nodes = [GeoNode(0, "A", 0.0, 0.0), GeoNode(1, "B", 0.0, math.degrees(miles / EARTH_RADIUS_MI))]
     return build_network(nodes, spec)
+
+
+LONG_RANGE = VehicleSpec(max_range_mi=200.0)
+
+
+def pair_report(miles: float, rate: float = 0.0, **kwargs):
+    """``size_fleet`` on an equator pair with ``rate`` pax/min each way."""
+    rates = DemandRates(per_min=np.array([[0.0, rate], [rate, 0.0]]))
+    return size_fleet(equator_pair(miles, LONG_RANGE), LONG_RANGE, rates, **kwargs)
 
 
 def test_flight_time_examples(spec):
@@ -72,46 +76,49 @@ def test_avg_cycle_time_pure_overhead_at_zero_distance(spec):
 
 
 def test_cycles_per_hour():
-    assert cycles_per_hour(60.0) == 1.0
-    assert cycles_per_hour(30.0) == 2.0
-    assert cycles_per_hour(23.0) == pytest.approx(2.609, abs=1e-3)
-    with pytest.raises(SizingError):
-        cycles_per_hour(0.0)
+    # cycles of 60, 30 and 23 minutes: 45, 15 and 8 air minutes plus 15 overhead
+    assert pair_report(112.5).cycles_per_hour == 1.0
+    assert pair_report(37.5).cycles_per_hour == 2.0
+    assert pair_report(20.0).cycles_per_hour == pytest.approx(2.609, abs=1e-3)
 
 
-def test_hourly_capacity():
-    assert hourly_capacity(2.61, 3.0) == pytest.approx(7.83)
-    assert hourly_capacity(2.0, 1.0) == 2.0
-    assert hourly_capacity(0.0, 3.0) == 0.0
-    with pytest.raises(ValidationError):
-        hourly_capacity(2.0, 5.0, capacity=4)
+def test_hourly_capacity(net, spec, baseline_rates):
+    assert size_fleet(net, spec, baseline_rates).pax_per_aircraft_hour == pytest.approx(7.83, abs=1e-3)
+    assert pair_report(37.5, pooling_q=1.0).pax_per_aircraft_hour == 2.0
+    for q in (5.0, 0.0):
+        with pytest.raises(ValidationError, match=rf"pooling_q must be in \(0, 4\], got {q}"):
+            size_fleet(net, spec, baseline_rates, pooling_q=q)
 
 
-def test_hourly_demand(baseline_rates):
-    assert hourly_demand(baseline_rates) == pytest.approx(30.96)
-    zero = DemandRates(per_min=np.zeros((2, 2)))
-    assert hourly_demand(zero) == 0.0
+def test_hourly_demand(net, spec, baseline_rates):
+    assert size_fleet(net, spec, baseline_rates).demand_per_hour == pytest.approx(30.96)
+    assert pair_report(20.0).demand_per_hour == 0.0
 
 
-def test_base_fleet():
-    assert base_fleet(30.96, 7.83) == pytest.approx(3.954, abs=1e-3)
-    assert base_fleet(0.0, 5.0) == 0.0
-    assert base_fleet(7.0, 7.0) == 1.0
-    with pytest.raises(SizingError):
-        base_fleet(1.0, 0.0)
+def test_base_fleet(net, spec, baseline_rates):
+    assert size_fleet(net, spec, baseline_rates).base_fleet == pytest.approx(3.954, abs=1e-3)
+    assert pair_report(20.0).base_fleet == 0.0
+    # 7 pax/h against 2 cycles/h of 3.5 riders each
+    assert pair_report(37.5, rate=7 / 120, pooling_q=3.5).base_fleet == 1.0
 
 
-def test_robust_fleet():
-    assert robust_fleet(3.954074, 2.0) == 8
-    assert robust_fleet(3.954074, 5.0) == 20
-    assert robust_fleet(0.0, 2.0) == 0
+def test_robust_fleet(net, spec, baseline_rates):
+    assert size_fleet(net, spec, baseline_rates, alpha=2.0).fleet == 8
+    assert size_fleet(net, spec, baseline_rates, alpha=5.0).fleet == 20
+    assert pair_report(20.0, alpha=2.0).fleet == 0
 
 
-def test_robust_fleet_warns_outside_band():
-    with pytest.warns(UserWarning):
-        robust_fleet(2.0, 1.5)
-    with pytest.warns(UserWarning):
-        robust_fleet(2.0, 6.0)
+def test_robust_fleet_warns_outside_band(net, spec, baseline_rates):
+    for alpha in (1.5, 6.0):
+        with pytest.warns(UserWarning, match=f"safety factor {alpha} outside the usual band") as record:
+            size_fleet(net, spec, baseline_rates, alpha=alpha)
+        assert record[0].filename == __file__  # the caller's line, not sizing.py
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_size_fleet_refuses_a_nonpositive_alpha(net, spec, baseline_rates, alpha):
+    with pytest.raises(ValidationError, match=f"safety factor must be positive, got {alpha}"):
+        size_fleet(net, spec, baseline_rates, alpha=alpha)
 
 
 def test_size_fleet_chain(net, spec, baseline_rates):
@@ -140,17 +147,36 @@ def test_little_law_roundtrip(lam, dist):
     # single OD pair, q = 1: base fleet reduces to rate times cycle time
     spec = VehicleSpec()
     t_cycle = 60.0 * dist / spec.cruise_speed_mph + spec.turnaround_min + spec.buffer_min
-    per_min = np.array([[0.0, lam], [0.0, 0.0]])
-    rates = DemandRates(per_min=per_min)
-    cap = hourly_capacity(cycles_per_hour(t_cycle), 1.0, spec.capacity)
-    n_base = base_fleet(hourly_demand(rates), cap)
-    assert n_base == pytest.approx(lam * t_cycle, rel=1e-9)
+    rates = DemandRates(per_min=np.array([[0.0, lam], [0.0, 0.0]]))
+    report = size_fleet(equator_pair(dist, spec), spec, rates, pooling_q=1.0)
+    assert report.base_fleet == pytest.approx(lam * t_cycle, rel=1e-9)
+
+
+@st.composite
+def small_worlds(draw):
+    """Two or three nodes within ~30 miles of each other, any nonnegative
+    demand between them, and any pooling level and safety factor."""
+    n = draw(st.sampled_from([2, 3]))
+    offsets = st.floats(min_value=0.0, max_value=0.3)
+    nodes = [GeoNode(i, f"N{i}", 37.0 + draw(offsets), -122.0 + draw(offsets)) for i in range(n)]
+    spec = VehicleSpec(turnaround_min=draw(st.integers(1, 30)), buffer_min=draw(st.integers(1, 10)),
+                       capacity=draw(st.integers(1, 6)))
+    per_min = np.array([[0.0 if i == j else draw(st.floats(min_value=0.0, max_value=5.0))
+                         for j in range(n)] for i in range(n)])
+    pooling_q = draw(st.floats(min_value=0.1, max_value=float(spec.capacity)))
+    alpha = draw(st.floats(min_value=0.5, max_value=8.0))
+    return build_network(nodes, spec), spec, DemandRates(per_min=per_min), alpha, pooling_q
 
 
 @pytest.mark.filterwarnings("ignore:safety factor")
-@pytest.mark.parametrize(
-    "n,alpha,k",
-    [(3.0, 2.0, 2.0), (1.5, 4.0, 3.0), (0.25, 4.0, 0.5)],
-)
-def test_ceiling_invariance_at_exact_rationals(n, alpha, k):
-    assert robust_fleet(n, alpha) == robust_fleet(n * k, alpha / k)
+@given(world=small_worlds())
+def test_size_fleet_report_is_one_chain(world):
+    net, spec, rates, alpha, pooling_q = world
+    report = size_fleet(net, spec, rates, alpha=alpha, pooling_q=pooling_q)
+    assert report.avg_cycle_min == avg_cycle_time(net, spec)
+    assert report.cycles_per_hour == 60.0 / report.avg_cycle_min
+    assert report.pax_per_aircraft_hour == report.cycles_per_hour * pooling_q
+    assert report.demand_per_hour == 60.0 * rates.total_rate
+    assert report.base_fleet == report.demand_per_hour / report.pax_per_aircraft_hour
+    assert report.fleet == math.ceil(report.safety_factor * report.base_fleet)
+    assert (report.safety_factor, report.pooling_q) == (alpha, pooling_q)
