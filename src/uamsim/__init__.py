@@ -7,7 +7,7 @@ pooling, charging, and repositioning, and scores the result against
 wait-time, utilization, load-factor, and cost targets.
 """
 
-from .config import CostParams, ScenarioConfig, build_world, load_scenario, override_scenario
+from .config import CostParams, ScenarioConfig, build_world, load_scenario
 from .demand import (
     RNG_NAME,
     DemandRates,

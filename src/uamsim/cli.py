@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from operator import attrgetter, countOf
 from pathlib import Path
 
-from .config import ScenarioConfig, build_world, load_scenario, override_scenario
+from .config import ScenarioConfig, build_world, load_scenario
 from .demand import RNG_NAME, expected_arrivals
 from .errors import ValidationError
 from .metrics import (
@@ -103,8 +103,10 @@ _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
 
 def _load(args) -> ScenarioConfig:
-    overrides = {name: value for name, value in vars(args).items() if name in _SCENARIO_FIELDS}
-    return override_scenario(load_scenario(args.config), **overrides)
+    """The scenario with every scenario flag that was given applied over it."""
+    changes = {name: value for name, value in vars(args).items()
+               if name in _SCENARIO_FIELDS and value is not None}
+    return replace(load_scenario(args.config), **changes)
 
 
 def _out_dir(args) -> Path:

@@ -11,7 +11,7 @@ field's ``type`` must be the type itself, not its name as a string.
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args
 
@@ -94,7 +94,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on bytes not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -185,12 +185,6 @@ def placement_node(rule: str) -> int | None:
         except ValueError:
             raise ConfigError(f"initial placement node in {rule!r} is not an integer") from None
     raise ConfigError(f"unknown initial placement rule {rule!r}")
-
-
-def override_scenario(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Apply non-None CLI flag values on top of a loaded scenario."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **changes) if changes else cfg
 
 
 def build_world(cfg: ScenarioConfig) -> tuple[list[GeoNode], RouteNetwork, ODMatrix, DemandRates]:

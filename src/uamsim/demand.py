@@ -38,7 +38,6 @@ each seed once and hands the list to every run (see ``Simulation``'s
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, IngestionError, ValidationError
-from .network import RouteNetwork
+from .network import RouteNetwork, _read_csv
 
 # Uniform source behind the arrival sampler; recorded in reports so runs
 # can state which generator produced their demand realization.
@@ -82,9 +81,29 @@ class ODMatrix:
 
 @dataclass(frozen=True)
 class DemandRates:
-    """Per-minute Poisson arrival rates derived from an ODMatrix."""
+    """Per-minute Poisson arrival rates derived from an ODMatrix.
+
+    A pair's rate may be at most 708.3964 pax/min, ``-ln`` of the smallest
+    normal float.  Knuth inversion stops when the product of uniforms
+    reaches ``e^-rate``: past the bound that is subnormal, and past ~745/min
+    it is 0.0, which caps every count near 746, silently.
+    """
 
     per_min: np.ndarray  # pax/minute, n x n, zero diagonal
+
+    def __post_init__(self):
+        per_min = self.per_min
+        if per_min.ndim != 2 or per_min.shape[0] != per_min.shape[1]:
+            raise ValidationError(f"rates must be square, got shape {per_min.shape}")
+        if not (per_min >= 0).all():  # NaN fails the test too
+            raise ValidationError("arrival rates must be nonnegative numbers")
+        beyond = np.argwhere(np.exp(-per_min) < sys.float_info.min)
+        if len(beyond):
+            i, j = beyond[0].tolist()
+            raise ValidationError(
+                f"pair ({i}, {j}) has {per_min[i, j]:.4f} pax/min, beyond the Poisson "
+                f"sampler's range of {-math.log(sys.float_info.min):.4f} pax/min per pair"
+            )
 
     @property
     def total_rate(self) -> float:
@@ -116,64 +135,43 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
     offending line number in the message.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"OD file not found: {path}")
     index = {node.code: node.id for node in net.nodes}
     counts = np.zeros((net.n, net.n), dtype=np.int64)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["origin", "dest", "monthly_pax"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise IngestionError(f"{path}: expected header {','.join(expected)!r}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # DictReader files the cells beyond the header under None
-                cells = len(expected) + len(row[None])
-                raise IngestionError(f"{path}:{lineno}: {cells} cells, but the header has {len(expected)}")
-            origin = (row["origin"] or "").strip()
-            dest = (row["dest"] or "").strip()
-            if origin not in index:
-                raise IngestionError(f"{path}:{lineno}: unknown origin code {origin!r}")
-            if dest not in index:
-                raise IngestionError(f"{path}:{lineno}: unknown destination code {dest!r}")
-            try:
-                pax = int(row["monthly_pax"])
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}:{lineno}: bad passenger count {row['monthly_pax']!r}") from exc
-            if pax < 0:
-                raise IngestionError(f"{path}:{lineno}: negative passenger count {pax}")
-            if origin == dest and pax > 0:
-                raise IngestionError(f"{path}:{lineno}: origin equals destination ({origin!r}) with count {pax}")
-            i, j = index[origin], index[dest]
-            total = int(counts[i, j]) + pax  # a Python int: the array would wrap or raise
-            if total > _INT64_MAX:
-                raise IngestionError(
-                    f"{path}:{lineno}: {origin}->{dest} total of {total} passengers exceeds {_INT64_MAX}")
-            counts[i, j] = total
+    for lineno, row in _read_csv(path, "OD", ["origin", "dest", "monthly_pax"]):
+        origin = (row["origin"] or "").strip()
+        dest = (row["dest"] or "").strip()
+        if origin not in index:
+            raise IngestionError(f"{path}:{lineno}: unknown origin code {origin!r}")
+        if dest not in index:
+            raise IngestionError(f"{path}:{lineno}: unknown destination code {dest!r}")
+        try:
+            pax = int(row["monthly_pax"])
+        except (TypeError, ValueError) as exc:
+            raise IngestionError(f"{path}:{lineno}: bad passenger count {row['monthly_pax']!r}") from exc
+        if pax < 0:
+            raise IngestionError(f"{path}:{lineno}: negative passenger count {pax}")
+        if origin == dest and pax > 0:
+            raise IngestionError(f"{path}:{lineno}: origin equals destination ({origin!r}) with count {pax}")
+        i, j = index[origin], index[dest]
+        total = int(counts[i, j]) + pax  # a Python int: the array would wrap or raise
+        if total > _INT64_MAX:
+            raise IngestionError(
+                f"{path}:{lineno}: {origin}->{dest} total of {total} passengers exceeds {_INT64_MAX}")
+        counts[i, j] = total
     return ODMatrix(counts=counts)
 
 
 def compute_rates(od: ODMatrix, days_per_month: int = 30, op_hours_per_day: float = 20.0) -> DemandRates:
     """Convert monthly counts to passengers per operating minute.
 
-    A pair's rate may be at most 708.3964 pax/min, ``-ln`` of the smallest
-    normal float.  Knuth inversion stops when the product of uniforms
-    reaches ``e^-rate``: past the bound that is subnormal, and past ~745/min
-    it is 0.0, which caps every count near 746, silently.
+    ``DemandRates`` refuses a rate beyond the sampler's range.
     """
     if days_per_month <= 0:
         raise ValidationError(f"days_per_month must be positive, got {days_per_month}")
     if op_hours_per_day <= 0:
         raise ValidationError(f"op_hours_per_day must be positive, got {op_hours_per_day}")
     minutes_per_month = days_per_month * op_hours_per_day * 60.0
-    per_min = od.counts.astype(np.float64) / minutes_per_month
-    beyond = np.argwhere(np.exp(-per_min) < sys.float_info.min)
-    if len(beyond):
-        i, j = beyond[0].tolist()
-        raise ValidationError(
-            f"pair ({i}, {j}) has {per_min[i, j]:.4f} pax/min, beyond the Poisson "
-            f"sampler's range of {-math.log(sys.float_info.min):.4f} pax/min per pair"
-        )
-    return DemandRates(per_min=per_min)
+    return DemandRates(per_min=od.counts.astype(np.float64) / minutes_per_month)
 
 
 def expected_arrivals(rates: DemandRates, t_sim: int) -> float:

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -149,35 +150,51 @@ def build_network(nodes: list[GeoNode], spec: VehicleSpec) -> RouteNetwork:
     return RouteNetwork(nodes=ordered, dist=dist, air_time=air_time, feasible=feasible)
 
 
+def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, dict]]:
+    """Yield the rows of a CSV file with header ``header``, each with its line number.
+
+    ``what`` names the file when it is missing.  A header other than
+    ``header``, a row with more cells than the header, bytes that are not
+    UTF-8 and a line ``csv`` cannot parse are refused, the last two naming
+    their line where it is known.
+    """
+    if not path.exists():
+        raise IngestionError(f"{what} file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
+                raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {reader.fieldnames}")
+            for row in reader:
+                if None in row:  # DictReader files the cells beyond the header under None
+                    cells = len(header) + len(row[None])
+                    raise IngestionError(f"{path}:{reader.line_num}: {cells} cells, but the header has {len(header)}")
+                yield reader.line_num, row
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})") from None
+    except csv.Error as exc:  # DictReader's line_num lags behind at an error; its reader's does not
+        raise IngestionError(f"{path}:{reader.reader.line_num}: {exc}") from None
+
+
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:
     """Read a ``nodes.csv`` file (header ``id,code,lat,lon``) into GeoNodes.
 
     A row with more cells than the header is rejected with its line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"nodes file not found: {path}")
     nodes: list[GeoNode] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["id", "code", "lat", "lon"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise IngestionError(f"{path}: expected header {','.join(expected)!r}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # DictReader files the cells beyond the header under None
-                cells = len(expected) + len(row[None])
-                raise IngestionError(f"{path}:{lineno}: {cells} cells, but the header has {len(expected)}")
-            try:
-                nodes.append(
-                    GeoNode(
-                        id=int(row["id"]),
-                        code=(row["code"] or "").strip(),
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]),
-                    )
+    for lineno, row in _read_csv(path, "nodes", ["id", "code", "lat", "lon"]):
+        try:
+            nodes.append(
+                GeoNode(
+                    id=int(row["id"]),
+                    code=(row["code"] or "").strip(),
+                    lat=float(row["lat"]),
+                    lon=float(row["lon"]),
                 )
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}:{lineno}: bad node row {row}: {exc}") from exc
+            )
+        except (TypeError, ValueError) as exc:
+            raise IngestionError(f"{path}:{lineno}: bad node row {row}: {exc}") from exc
     if not nodes:
         raise IngestionError(f"{path}: no node rows")
     if sorted(node.id for node in nodes) != list(range(len(nodes))):

@@ -24,27 +24,32 @@ visited and the legs launched, not to the length of the queue.
 Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
 post-reposition charge can be disabled), and every leg flown is checked
-against the vehicle's range.  At take-off ``_launch`` books the whole leg:
-its buffer, air and turnaround minutes go into the vehicle's buckets, and
-the one scheduled event is the minute the vehicle is next idle.  A vehicle
-is therefore either idle, on its node's ground heap, or busy until a known
-minute.  The vehicle keeps its last leg's ``TripRecord``, the one in the
-trip log, and nothing else of the leg: its ``dest`` is the vehicle's node,
-its ``kind``, revenue or reposition (an empty summon is a reposition leg),
-names the air-minute bucket and whether ``end_state`` reads ``"flying"`` or
-``"repositioning"``, its riders are aboard until its ``arrive_min``, and
-its airborne minutes are ``arrive_min - depart_min - buffer``.
+against the vehicle's range.  At take-off ``_launch`` appends the leg's
+``TripRecord`` to the trip log and schedules the one event, the minute the
+vehicle is idle again: its ``arrive_min`` plus the turnaround after its
+``kind``, revenue or reposition (an empty summon is a reposition leg).  A
+vehicle is therefore either idle, on its node's ground heap, or busy until
+a known minute.  ``last_leg`` holds each vehicle's last leg, the one in
+the trip log: its ``dest`` is the vehicle's node and its riders are aboard
+until its ``arrive_min``.
 
-The trip log is the only record of a boarding: a rider boards at its leg's
-``depart_min`` and is dropped off at its ``arrive_min``.
+The trip log is the only record of a boarding and of a vehicle's minutes.
+A rider boards at its leg's ``depart_min`` and is dropped off at its
+``arrive_min``.  ``_finalize`` reads each vehicle's five buckets from its
+legs in log order: every leg books its buffer, its airborne minutes
+``arrive_min - depart_min - buffer`` into the bucket its ``kind`` names,
+and its turnaround, and the idle minutes are the gaps from the end of one
+charge to the next ``depart_min``, plus the tail after the last.
 
 Only the last leg of each vehicle can be under way at the horizon: a
 vehicle takes off again only after its leg has landed.  ``_finalize``
 clamps that leg.  Still airborne at ``t_sim`` (landing at or after it),
 the leg keeps the buffer-first split of the minutes it flew since
 ``depart_min``, loses the rest of its air minutes and its whole charge,
-and its riders count as onboard: their dropoff is blanked.  Charging at
-``t_sim``, the vehicle loses the charge minutes past the horizon.
+its ``kind`` says whether ``end_state`` reads ``"flying"`` or
+``"repositioning"``, and its riders count as onboard: their dropoff is
+blanked.  Charging at ``t_sim``, the vehicle loses the charge minutes past
+the horizon.
 
 The idle vehicles at a node form a ``heapq`` of their ids.  Every launch,
 whether boarding, summon or reposition, takes the lowest id at its node, so
@@ -59,8 +64,8 @@ pass that followed sent off every idle vehicle it could.  A landing into a
 charge is no event: nothing that dispatch or repositioning read changes
 until the vehicle is idle again.  So without a return or an arrival a
 repeated dispatch pass and a repeated reposition pass are both no-ops.
-Idle minutes are charged from ``free_min`` when a vehicle leaves the
-ground, so skipping a minute loses no accounting.
+The minutes are read from the trip log at the end, so skipping a minute
+loses no accounting.
 
 Trip and rider records are built by ``tuple.__new__`` on their NamedTuple
 class, called from C, which skips the Python frame of the generated
@@ -125,7 +130,7 @@ _new_outcome = partial(tuple.__new__, RiderOutcome)
 
 
 class VehicleStats(NamedTuple):
-    """End-of-run accumulator snapshot; the five buckets sum to the horizon."""
+    """A vehicle's day read from the trip log; the five buckets sum to the horizon."""
 
     vehicle_id: int
     revenue_air_min: int
@@ -178,40 +183,6 @@ class SimResult:
         }
 
 
-class _Vehicle:
-    """Mutable in-sim agent; collapsed into a VehicleStats snapshot at the end.
-
-    The buckets hold every booked minute of the legs flown so far, the last
-    one included in full; ``_finalize`` clamps that leg at the horizon.
-
-    Attributes:
-        leg: the last leg's ``TripRecord``, the one in the trip log; its
-            ``dest`` is the vehicle's node, and its riders are aboard until
-            its ``arrive_min``.  Before the first take-off it is a riderless
-            leg that landed at the start node at minute 0.
-        free_min: the minute the vehicle is (or was last) idle again.
-        inbound_target: node a summoned/repositioning vehicle is committed
-            to until it next goes idle; keeps a waiting rider from summoning
-            help twice.
-    """
-
-    __slots__ = (
-        "id", "leg", "free_min", "inbound_target",
-        "revenue_air_min", "reposition_air_min", "buffer_min", "charge_min", "idle_min",
-    )
-
-    def __init__(self, vid: int, start: int):
-        self.id = vid
-        self.leg = TripRecord(vid, REVENUE, start, start, 0, 0, ())
-        self.free_min = 0
-        self.inbound_target: int | None = None
-        self.revenue_air_min = 0
-        self.reposition_air_min = 0
-        self.buffer_min = 0
-        self.charge_min = 0
-        self.idle_min = 0
-
-
 class Simulation:
     """One simulation run; construct, call :meth:`run`, read the result.
 
@@ -241,9 +212,12 @@ class Simulation:
         self.cfg = cfg
         self.n = n
         self.capacity = cfg.spec.capacity
-        self.turnaround = cfg.spec.turnaround_min
-        self.reposition_turnaround = self.turnaround if cfg.charge_after_reposition else 0
         self.buffer = cfg.spec.buffer_min
+        # charge minutes after a leg, by its kind
+        self.turnaround = {
+            REVENUE: cfg.spec.turnaround_min,
+            REPOSITION: cfg.spec.turnaround_min if cfg.charge_after_reposition else 0,
+        }
         # integer airborne minutes per ordered pair
         self.air_min = np.ceil(cfg.net.air_time).astype(int).tolist()
         self.feasible = cfg.net.feasible.tolist()
@@ -259,14 +233,19 @@ class Simulation:
         for rider in self.all_riders:
             self.arrivals_by_minute[rider.arrival_min].append(rider)
 
-        self.vehicles = [
-            _Vehicle(vid, vid % n if start is None else start) for vid in range(cfg.fleet)
-        ]
+        # each vehicle's last leg; before its first take-off, a riderless
+        # leg that landed at its start node at minute 0
+        self.last_leg: list[TripRecord] = []
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
-        for v in self.vehicles:
-            self.idle_at[v.leg.dest].append(v.id)
+        for vid in range(cfg.fleet):
+            node = vid % n if start is None else start
+            self.last_leg.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))
+            self.idle_at[node].append(vid)
         self.idle_count = cfg.fleet
+        # the node a summoned or repositioning vehicle is committed to until
+        # it next goes idle; keeps a waiting rider from summoning help twice
+        self.inbound_target: list[int | None] = [None] * cfg.fleet
 
         self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
         # the same riders, FIFO per (origin, dest) pair and counted per origin
@@ -287,11 +266,10 @@ class Simulation:
         due = self.due.pop(minute, None)
         if due is None:
             return
-        vehicles, idle_at = self.vehicles, self.idle_at
+        last_leg, inbound_target, idle_at = self.last_leg, self.inbound_target, self.idle_at
         for vid in due:
-            v = vehicles[vid]
-            v.inbound_target = None
-            heappush(idle_at[v.leg.dest], vid)
+            inbound_target[vid] = None
+            heappush(idle_at[last_leg[vid].dest], vid)
         self.idle_count += len(due)
 
     def inject(self, minute: int) -> None:
@@ -313,7 +291,7 @@ class Simulation:
                 boarded.update(self._board(rider, minute))
                 continue
             helper = self.summoned.get(rider.rider_id)
-            if helper is not None and self.vehicles[helper].inbound_target == origin:
+            if helper is not None and self.inbound_target[helper] == origin:
                 continue  # help already on its way
             if self.idle_count == 0:
                 break  # the last idle vehicle left during this pass
@@ -363,27 +341,16 @@ class Simulation:
     def _launch(self, origin: int, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> int:
         """Fly the lowest-id idle vehicle at ``origin`` to ``dest``; return its id.
 
-        The whole leg is booked now: buffer, air and turnaround minutes,
-        and the minute the vehicle is idle again.
+        The leg goes into the trip log, and the vehicle is due back on the
+        ground when the turnaround after it ends.
         """
         vid = heappop(self.idle_at[origin])
         self.idle_count -= 1
-        v = self.vehicles[vid]
-        v.idle_min += minute - v.free_min
-        air = self.air_min[origin][dest]
-        arrive_min = minute + self.buffer + air
-        v.buffer_min += self.buffer
-        if kind == REVENUE:
-            v.revenue_air_min += air
-            turnaround = self.turnaround
-        else:
-            v.reposition_air_min += air
-            v.inbound_target = dest
-            turnaround = self.reposition_turnaround
-        v.charge_min += turnaround
-        v.free_min = free_min = arrive_min + turnaround
-        self.due.setdefault(free_min, []).append(vid)
-        v.leg = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
+        arrive_min = minute + self.buffer + self.air_min[origin][dest]
+        if kind == REPOSITION:
+            self.inbound_target[vid] = dest
+        self.due.setdefault(arrive_min + self.turnaround[kind], []).append(vid)
+        self.last_leg[vid] = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
         self.trips.append(leg)
         return vid
 
@@ -411,7 +378,7 @@ class Simulation:
         waiting nor aboard has been dropped off.
         """
         minute = self.minute
-        onboard = sum(len(v.leg.rider_ids) for v in self.vehicles if v.leg.arrive_min >= minute)
+        onboard = sum(len(leg.rider_ids) for leg in self.last_leg if leg.arrive_min >= minute)
         waiting = len(self.waiting)
         return self.generated_so_far, self.generated_so_far - waiting - onboard, onboard, waiting
 
@@ -421,56 +388,59 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> SimResult:
-        """Clamp each vehicle's last leg at the horizon and snapshot the run.
+        """Read the run's outcome from the trip log and snapshot it.
 
-        Each rider's board and dropoff minutes are read from its leg in the
-        trip log.  The clamp is applied to copies, so the engine's state is left as it
-        was and a second call gives the same result.
+        One pass over the log books each vehicle's minutes, leg by leg, and
+        each rider's board and dropoff minutes from its leg; then each
+        vehicle's last leg is clamped at the horizon.  The engine's state is
+        only read, so a second call gives the same result.
         """
-        t_end = self.cfg.t_sim
-        onboard = 0  # riders of legs landing at or after the horizon
-        stats = []
-        for v in self.vehicles:
-            revenue, reposition, buffer_min = v.revenue_air_min, v.reposition_air_min, v.buffer_min
-            charge, idle = v.charge_min, v.idle_min
-            leg = v.leg
-            end_location = leg.dest
-            if leg.arrive_min >= t_end:  # airborne: buffer elapses first, then air
-                buffer_left = max(self.buffer - (t_end - leg.depart_min), 0)
-                unflown = leg.arrive_min - t_end - buffer_left
-                buffer_min -= buffer_left
-                if leg.kind == REVENUE:
-                    revenue -= unflown
-                    onboard += len(leg.rider_ids)
-                else:
-                    reposition -= unflown
-                charge -= v.free_min - leg.arrive_min
-                end_state, end_location = _AIRBORNE_END_STATE[leg.kind], None
-            elif v.free_min >= t_end:  # a charge that ends now is still under way
-                charge -= v.free_min - t_end
-                end_state = "charging"
-            else:
-                idle += t_end - v.free_min
-                end_state = "idle"
-            stats.append(VehicleStats(
-                v.id, revenue, reposition, buffer_min, charge, idle, end_state, end_location))
+        t_end, buffer, turnaround = self.cfg.t_sim, self.buffer, self.turnaround
+        fleet = self.cfg.fleet
+        revenue, reposition, buffers, charge, idle = ([0] * fleet for _ in range(5))
+        air = {REVENUE: revenue, REPOSITION: reposition}
+        free = [0] * fleet  # the minute each vehicle was last idle again
         # generate_arrivals numbers riders by their place in the stream
         boards: list[int | None] = [None] * len(self.all_riders)
         dropoffs = boards.copy()
-        for _, _, _, _, depart, arrive, rider_ids in self.trips:
+        for vid, kind, _, _, depart, arrive, rider_ids in self.trips:
+            idle[vid] += depart - free[vid]
+            buffers[vid] += buffer
+            air[kind][vid] += arrive - depart - buffer
+            charge[vid] += turnaround[kind]
+            free[vid] = arrive + turnaround[kind]
             landed = arrive if arrive < t_end else None  # a leg still aloft has not landed
             for rid in rider_ids:
                 boards[rid] = depart
                 dropoffs[rid] = landed
+        stats = []
+        for vid, leg in enumerate(self.last_leg):
+            end_location = leg.dest
+            if leg.arrive_min >= t_end:  # airborne: buffer elapses first, then air
+                buffer_left = max(buffer - (t_end - leg.depart_min), 0)
+                buffers[vid] -= buffer_left
+                air[leg.kind][vid] -= leg.arrive_min - t_end - buffer_left
+                charge[vid] -= free[vid] - leg.arrive_min
+                end_state, end_location = _AIRBORNE_END_STATE[leg.kind], None
+            elif free[vid] >= t_end:  # a charge that ends now is still under way
+                charge[vid] -= free[vid] - t_end
+                end_state = "charging"
+            else:
+                idle[vid] += t_end - free[vid]
+                end_state = "idle"
+            stats.append(VehicleStats(vid, revenue[vid], reposition[vid], buffers[vid],
+                                      charge[vid], idle[vid], end_state, end_location))
         outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(boards, dropoffs))))
+        unlanded = dropoffs.count(None)
         return SimResult(
             config=self.cfg,
             trips=tuple(self.trips),
             riders=outcomes,
             vehicles=tuple(stats),
             generated=len(self.all_riders),
-            served=len(dropoffs) - dropoffs.count(None),
-            onboard_at_end=onboard,
+            served=len(dropoffs) - unlanded,
+            # riders who boarded a leg that had not landed
+            onboard_at_end=unlanded - boards.count(None),
             unserved=len(self.waiting),
         )
 

@@ -78,8 +78,8 @@ def size_fleet(
     if not ALPHA_BAND[0] <= alpha <= ALPHA_BAND[1]:
         warnings.warn(f"safety factor {alpha} outside the usual band {ALPHA_BAND}", stacklevel=2)
     # no divisor below can be zero nor the fleet negative: turnaround >= 1
-    # makes the cycle positive, pooling_q > 0 the capacity, and the rates
-    # are nonnegative
+    # makes the cycle positive, pooling_q > 0 the capacity, and DemandRates
+    # guarantees nonnegative rates
     cycles = 60.0 / t_avg
     cap = cycles * pooling_q
     demand = 60.0 * rates.total_rate

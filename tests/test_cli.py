@@ -450,6 +450,36 @@ def test_row_with_more_cells_than_the_header_exits_2(scenario_dir, capsys, name,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+# DictReader skips a blank line, so counting rows named the line before
+@pytest.mark.parametrize("name, rows, message", [
+    ("od.csv", ["SFO,OAK,1300", "", "SFO,XXX,5"], "od.csv:4: unknown destination code 'XXX'"),
+    ("nodes.csv", ["0,SFO,37.6190,-122.3750", "", "1,OAK,north,-122.2210"], "nodes.csv:4: bad node row"),
+], ids=["od.csv", "nodes.csv"])
+def test_error_after_a_blank_line_names_its_line(scenario_dir, capsys, name, rows, message):
+    path = scenario_dir / name
+    path.write_text("\n".join([path.read_text().splitlines()[0], *rows]) + "\n")
+    assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+# each ended in a UnicodeDecodeError or _csv.Error traceback with exit 1
+@pytest.mark.parametrize("name, data, message", [
+    ("config.json", b'{"nodes": "nodes.csv", "od": "od.csv", "seed": 1\xff}', "config.json: invalid JSON"),
+    ("nodes.csv", b"id,code,lat,lon\n0,SF\xff,37.6190,-122.3750\n", "nodes.csv: not UTF-8 text"),
+    ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK,13\xff00\n", "od.csv: not UTF-8 text"),
+    ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK," + b"1" * 200_000 + b"\n",
+     "od.csv:2: field larger than field limit"),
+], ids=["config.json-not-utf8", "nodes.csv-not-utf8", "od.csv-not-utf8", "od.csv-huge-field"])
+def test_malformed_bytes_exit_2(scenario_dir, capsys, name, data, message):
+    (scenario_dir / name).write_bytes(data)
+    assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["distances", "demand", "size-fleet", "simulate", "compare", "sweep"])
 def test_bad_placement_rule_exits_2_from_every_command(scenario_dir, tmp_path, capsys, command):
     # distances, demand, size-fleet and compare once exited 0: only a

@@ -89,6 +89,19 @@ def test_od_matrix_invariants():
 
 # -- rates --------------------------------------------------------------------
 
+@pytest.mark.parametrize("per_min, message", [
+    (np.array([[0.0, -0.1], [0.0, 0.0]]), "nonnegative"),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), "nonnegative"),
+    (np.zeros((2, 3)), "square"),
+    (np.zeros(4), "square"),
+    # past ~745/min e^-rate is 0.0, and every count stopped near 746
+    (np.array([[0.0, 800.0], [0.0, 0.0]]), r"pair \(0, 1\) has 800.0000 pax/min, beyond the Poisson"),
+], ids=["negative", "nan", "not-square", "not-2d", "800-per-min"])
+def test_demand_rates_refuse_what_the_sampler_cannot_draw(per_min, message):
+    with pytest.raises(ValidationError, match=message):
+        DemandRates(per_min=per_min)
+
+
 def test_rate_unit_denominator():
     od = _od([[0, 36000], [0, 0]])
     rates = compute_rates(od, days_per_month=30, op_hours_per_day=20)

@@ -40,7 +40,7 @@ def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
 
 def place(sim: Simulation, vid: int, node: int) -> None:
     """Relocate an idle vehicle before the clock starts."""
-    sim.vehicles[vid].leg = TripRecord(vid, REVENUE, node, node, 0, 0, ())
+    sim.last_leg[vid] = TripRecord(vid, REVENUE, node, node, 0, 0, ())
     rebuild_idle_heaps(sim)
 
 
@@ -51,7 +51,7 @@ def rebuild_idle_heaps(sim: Simulation) -> None:
     """
     busy = {vid for vids in sim.due.values() for vid in vids}
     sim.idle_at = [
-        sorted(v.id for v in sim.vehicles if v.leg.dest == node and v.id not in busy)
+        sorted(vid for vid, leg in enumerate(sim.last_leg) if leg.dest == node and vid not in busy)
         for node in range(sim.n)
     ]
     sim.idle_count = sum(map(len, sim.idle_at))
@@ -585,4 +585,4 @@ def test_presampled_riders_give_the_same_run(case, net, spec, baseline_rates):
 def test_round_robin_spreads_initial_fleet(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=6, t_sim=5)
     sim = Simulation(cfg)
-    assert [v.leg.dest for v in sim.vehicles] == [0, 1, 2, 3, 0, 1]
+    assert [leg.dest for leg in sim.last_leg] == [0, 1, 2, 3, 0, 1]
