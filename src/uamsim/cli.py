@@ -190,13 +190,12 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, fleet=fleet)
 
     result = run_simulation(_sim_config(cfg, net, rates, fleet))
-    waits = result.waits()
-    report = compute_metrics(result, waits=waits)
+    report = compute_metrics(result)
     served = throughput_matrix(result)
 
     write_trips_csv(result, out / "trips.csv")
     write_riders_csv(result, out / "riders.csv")
-    write_waits_csv(waits, out / "waits.csv")
+    write_waits_csv(result.waits, out / "waits.csv")
     write_heatmap_csv(od.counts, net.codes, out / "heatmap_demand.csv")
     write_heatmap_csv(served, net.codes, out / "heatmap_served.csv")
     revenue_trips = countOf(map(attrgetter("kind"), result.trips), REVENUE)

@@ -22,20 +22,25 @@ from .network import GeoNode, RouteNetwork, VehicleSpec, build_network, load_nod
 
 @dataclass(frozen=True)
 class CostParams:
-    """Unit costs for the door-to-door comparison against driving."""
+    """Unit costs for the door-to-door comparison against driving.
+
+    Every field must be positive and finite, and at least its ``at_least``
+    metadata where it has one: a road is never shorter than the great circle.
+    """
 
     car_speed_mph: float
     op_cost_per_hr: float = 605.0
     value_of_time_per_hr: float = 40.0
     car_cost_per_mi: float = 0.58
-    circuity: float = 1.3
+    circuity: float = field(default=1.3, metadata={"at_least": 1.0})
 
     def __post_init__(self):
-        for name in ("car_speed_mph", "op_cost_per_hr", "value_of_time_per_hr", "car_cost_per_mi"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.circuity < 1.0:
-            raise ValidationError(f"circuity must be at least 1.0, got {self.circuity}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
+            if value < f.metadata.get("at_least", 0):
+                raise ValidationError(f"{f.name} must be at least {f.metadata['at_least']}, got {value}")
 
 
 @dataclass(frozen=True)

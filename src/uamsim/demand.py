@@ -182,8 +182,11 @@ def expected_arrivals(rates: DemandRates, t_sim: int) -> float:
 
 
 def check_demand_in_range(rates: DemandRates, net: RouteNetwork) -> None:
-    """Refuse demand on a pair beyond the aircraft's range, naming every
-    such (origin, dest) pair in row-major order."""
+    """Refuse a rate matrix that is not the network's size, and demand on a
+    pair beyond the aircraft's range, naming every such (origin, dest) pair
+    in row-major order."""
+    if rates.per_min.shape != (net.n, net.n):
+        raise ConfigError("demand rate matrix does not match the network size")
     rows, cols = np.nonzero((rates.per_min > 0) & ~net.feasible & ~np.eye(net.n, dtype=bool))
     if rows.size:
         bad = list(zip(rows.tolist(), cols.tolist()))

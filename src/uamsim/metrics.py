@@ -9,7 +9,6 @@ reporting convention, so reports carry both variants side by side.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -21,6 +20,7 @@ import numpy as np
 from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
+from .network import _write_csv
 from .simulate import REVENUE, SimConfig, SimResult, run_simulation
 
 WAIT_TARGET_MIN = 10.0
@@ -91,16 +91,10 @@ def throughput_matrix(result: SimResult) -> np.ndarray:
     return np.bincount(pairs, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
 
 
-def compute_metrics(result: SimResult, *, waits: Sequence[int] | None = None) -> MetricsReport:
-    """Assemble the full report; degenerate zero-demand runs score all zeros.
-
-    ``waits``, when given, must be ``result.waits()``; a caller that also
-    writes the waits passes the list it holds, so it is built once.
-    """
-    if waits is None:
-        waits = result.waits()
-    if waits:
-        mean_wait, p95 = wait_stats(waits)
+def compute_metrics(result: SimResult) -> MetricsReport:
+    """Assemble the full report; degenerate zero-demand runs score all zeros."""
+    if result.waits:
+        mean_wait, p95 = wait_stats(result.waits)
     else:
         mean_wait, p95 = 0.0, 0.0
     revenue = reposition = ground = 0
@@ -223,19 +217,12 @@ def first_passing(rows: Iterable[SweepRow]) -> int | None:
 
 def write_waits_csv(waits: Sequence[float], path: str | Path) -> None:
     """One wait value per served rider (histogram source data)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wait_min"])
-        writer.writerows(zip(waits))
+    _write_csv(path, ["wait_min"], zip(waits))
 
 
 def write_heatmap_csv(matrix: np.ndarray, codes: Sequence[str], path: str | Path) -> None:
     """Square matrix with node-code row and column headers."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(codes))
-        for code, row in zip(codes, matrix.tolist()):
-            writer.writerow([code] + row)
+    _write_csv(path, ["", *codes], ([code, *row] for code, row in zip(codes, matrix.tolist())))
 
 
 def write_report_json(report: dict, path: str | Path) -> None:
@@ -245,7 +232,4 @@ def write_report_json(report: dict, path: str | Path) -> None:
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep table, one row per fleet size."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(SweepRow)])
-        writer.writerows(map(astuple, rows))
+    _write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

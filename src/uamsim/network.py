@@ -6,13 +6,13 @@ whenever its length fits inside the vehicle's maximum range.  All matrices
 are built once and never mutated; every function here is pure.
 """
 
-# annotations are not postponed here: the scenario loader in config.py reads
-# each VehicleSpec field's type from dataclasses.fields
+# annotations are not postponed here: VehicleSpec's own check and the
+# scenario loader in config.py read each field's type from dataclasses.fields
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class VehicleSpec:
     the simulation clock.  ``capacity`` seats cap a pooled group.  What an
     hour of flying costs is the scenario's ``cost.op_cost_per_hr``.
     These fields are also the keys of a scenario's ``vehicle`` object, and
-    no other key is accepted there.
+    no other key is accepted there.  Every field must be positive and
+    finite, and an ``int`` field an integer.
     """
 
     cruise_speed_mph: float = 150.0
@@ -58,22 +59,14 @@ class VehicleSpec:
     capacity: int = 4
 
     def __post_init__(self):
-        # a fractional turnaround or buffer would schedule transitions that
-        # the integer minute clock never reaches, stalling the fleet
-        for name in ("turnaround_min", "buffer_min", "capacity"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        positives = {
-            "cruise_speed_mph": self.cruise_speed_mph,
-            "max_range_mi": self.max_range_mi,
-            "turnaround_min": self.turnaround_min,
-            "buffer_min": self.buffer_min,
-            "capacity": self.capacity,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise ValidationError(f"{name} must be strictly positive, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a fractional turnaround or buffer would schedule transitions
+            # that the integer minute clock never reaches, stalling the fleet
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -156,13 +149,14 @@ def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, d
     ``what`` names the file when it is missing.  A header other than
     ``header``, a row with more cells than the header, bytes that are not
     UTF-8 and a line ``csv`` cannot parse are refused, the last two naming
-    their line where it is known.
+    their line where it is known.  Parsing is strict, so a quote left open
+    at the end of the file or text after a closing quote is an error.
     """
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, strict=True)
             if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
                 raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {reader.fieldnames}")
             for row in reader:
@@ -174,6 +168,14 @@ def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, d
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})") from None
     except csv.Error as exc:  # DictReader's line_num lags behind at an error; its reader's does not
         raise IngestionError(f"{path}:{reader.reader.line_num}: {exc}") from None
+
+
+def _write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 in ``csv.writer``'s dialect."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:

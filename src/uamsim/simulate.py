@@ -9,7 +9,9 @@ ceiling of the airborne time).  Per minute the engine
 2. injects this minute's rider arrivals,
 3. dispatches: waiting riders board a co-located idle vehicle (pooling up
    to capacity on the identical OD pair) or summon the nearest idle one,
-   which flies over empty and must finish its turnaround before boarding,
+   which flies over empty and must finish its turnaround before boarding;
+   a rider whose summoned vehicle's last leg is still a reposition leg to
+   the rider's origin has help inbound and summons no other,
 4. repositions remaining idle vehicles at rider-free nodes toward the
    highest-origin-rate node that still has riders waiting (``rate_order``
    lists the nodes by descending origin rate, lowest id first on ties).
@@ -31,7 +33,11 @@ vehicle is idle again: its ``arrive_min`` plus the turnaround after its
 vehicle is therefore either idle, on its node's ground heap, or busy until
 a known minute.  ``last_leg`` holds each vehicle's last leg, the one in
 the trip log: its ``dest`` is the vehicle's node and its riders are aboard
-until its ``arrive_min``.
+until its ``arrive_min``.  It is also where a summoned vehicle is heading:
+help counts as inbound while the helper's last leg is a reposition leg to
+the rider's origin.  A helper that has gone idle there sits on that node's
+heap, so the rider boards before the test is reached, and a helper taken
+by another rider meanwhile has a new last leg.
 
 The trip log is the only record of a boarding and of a vehicle's minutes.
 A rider boards at its leg's ``depart_min`` and is dropped off at its
@@ -74,10 +80,9 @@ class, called from C, which skips the Python frame of the generated
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from operator import add
 from pathlib import Path
@@ -88,7 +93,7 @@ import numpy as np
 from .config import placement_node
 from .demand import DemandRates, RiderRequest, check_demand_in_range, generate_arrivals
 from .errors import ConfigError
-from .network import RouteNetwork, VehicleSpec
+from .network import RouteNetwork, VehicleSpec, _write_csv
 
 REVENUE = "revenue"
 REPOSITION = "reposition"
@@ -166,8 +171,13 @@ class SimResult:
     onboard_at_end: int
     unserved: int
 
+    @cached_property
     def waits(self) -> list[int]:
-        """Wait minutes of every rider who boarded, in rider-id order."""
+        """Wait minutes of every rider who boarded, in rider-id order.
+
+        Built once, on first read, and shared by every later reader (the
+        metrics and the ``waits.csv`` writer); treat it as read-only.
+        """
         return [r.board_min - r.arrival_min for r in self.riders if r.board_min is not None]
 
     def to_dict(self) -> dict:
@@ -202,8 +212,6 @@ class Simulation:
         if cfg.t_sim <= 0:
             raise ConfigError(f"t_sim must be positive, got {cfg.t_sim}")
         n = cfg.net.n
-        if cfg.rates.per_min.shape != (n, n):
-            raise ConfigError("demand rate matrix does not match the network size")
         check_demand_in_range(cfg.rates, cfg.net)
         start = placement_node(cfg.initial_placement)
         if start is not None and not 0 <= start < n:
@@ -243,9 +251,6 @@ class Simulation:
             self.last_leg.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))
             self.idle_at[node].append(vid)
         self.idle_count = cfg.fleet
-        # the node a summoned or repositioning vehicle is committed to until
-        # it next goes idle; keeps a waiting rider from summoning help twice
-        self.inbound_target: list[int | None] = [None] * cfg.fleet
 
         self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
         # the same riders, FIFO per (origin, dest) pair and counted per origin
@@ -266,9 +271,8 @@ class Simulation:
         due = self.due.pop(minute, None)
         if due is None:
             return
-        last_leg, inbound_target, idle_at = self.last_leg, self.inbound_target, self.idle_at
+        last_leg, idle_at = self.last_leg, self.idle_at
         for vid in due:
-            inbound_target[vid] = None
             heappush(idle_at[last_leg[vid].dest], vid)
         self.idle_count += len(due)
 
@@ -291,8 +295,12 @@ class Simulation:
                 boarded.update(self._board(rider, minute))
                 continue
             helper = self.summoned.get(rider.rider_id)
-            if helper is not None and self.inbound_target[helper] == origin:
-                continue  # help already on its way
+            if helper is not None:
+                # help is on its way while the helper's last leg is still
+                # a reposition leg here; see the module docstring
+                leg = self.last_leg[helper]
+                if leg.kind == REPOSITION and leg.dest == origin:
+                    continue
             if self.idle_count == 0:
                 break  # the last idle vehicle left during this pass
             node = self._nearest_idle(origin)
@@ -347,8 +355,6 @@ class Simulation:
         vid = heappop(self.idle_at[origin])
         self.idle_count -= 1
         arrive_min = minute + self.buffer + self.air_min[origin][dest]
-        if kind == REPOSITION:
-            self.inbound_target[vid] = dest
         self.due.setdefault(arrive_min + self.turnaround[kind], []).append(vid)
         self.last_leg[vid] = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
         self.trips.append(leg)
@@ -465,7 +471,4 @@ def write_trips_csv(result: SimResult, path: str | Path) -> None:
 
 def write_riders_csv(result: SimResult, path: str | Path) -> None:
     """Rider ledger; board/dropoff cells are blank when they never happened."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RiderOutcome._fields)
-        writer.writerows(result.riders)  # csv writes None as an empty cell
+    _write_csv(path, RiderOutcome._fields, result.riders)  # csv writes None as an empty cell

@@ -120,13 +120,13 @@ def test_simulate_builds_the_waits_once(scenario_dir, tmp_path, monkeypatch):
     from uamsim.simulate import SimResult
 
     calls = []
-    waits = SimResult.waits
+    waits = SimResult.waits.func  # the cached property's builder
 
     def counted(self):
         calls.append(self)
         return waits(self)
 
-    monkeypatch.setattr(SimResult, "waits", counted)
+    monkeypatch.setattr(SimResult.waits, "func", counted)
     assert run_cli(
         "simulate", "--config", scenario_dir / "config.json",
         "--out", tmp_path / "out", "--fleet", "12", "--seed", "5", "--minutes", "600",
@@ -464,14 +464,18 @@ def test_error_after_a_blank_line_names_its_line(scenario_dir, capsys, name, row
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-# each ended in a UnicodeDecodeError or _csv.Error traceback with exit 1
+# the first four ended in a UnicodeDecodeError or _csv.Error traceback with
+# exit 1; the last two were read as 3000 and exited 0
 @pytest.mark.parametrize("name, data, message", [
     ("config.json", b'{"nodes": "nodes.csv", "od": "od.csv", "seed": 1\xff}', "config.json: invalid JSON"),
     ("nodes.csv", b"id,code,lat,lon\n0,SF\xff,37.6190,-122.3750\n", "nodes.csv: not UTF-8 text"),
     ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK,13\xff00\n", "od.csv: not UTF-8 text"),
     ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK," + b"1" * 200_000 + b"\n",
      "od.csv:2: field larger than field limit"),
-], ids=["config.json-not-utf8", "nodes.csv-not-utf8", "od.csv-not-utf8", "od.csv-huge-field"])
+    ("od.csv", b'origin,dest,monthly_pax\nSFO,OAK,1300\nSFO,SJC,"3000\n', "od.csv:3: unexpected end of data"),
+    ("od.csv", b'origin,dest,monthly_pax\nSFO,OAK,1300\nSFO,SJC,"30"00\n', "od.csv:3: ',' expected after '\"'"),
+], ids=["config.json-not-utf8", "nodes.csv-not-utf8", "od.csv-not-utf8", "od.csv-huge-field",
+        "od.csv-quote-left-open", "od.csv-text-after-quote"])
 def test_malformed_bytes_exit_2(scenario_dir, capsys, name, data, message):
     (scenario_dir / name).write_bytes(data)
     assert run_cli("demand", "--config", scenario_dir / "config.json") == EXIT_CONFIG

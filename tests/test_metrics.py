@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +42,14 @@ def _mission_min(distance_mi: float, spec: VehicleSpec) -> float:
 
 def _cost(car_speed=20.0) -> CostParams:
     return CostParams(car_speed_mph=car_speed)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(CostParams)])
+def test_cost_params_refuse_a_non_finite_number(name, value):
+    # the loader refuses these in JSON, but not every caller loads
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got {value}"):
+        CostParams(**{"car_speed_mph": 20.0, name: value})
 
 
 # -- wait statistics ------------------------------------------------------------

@@ -141,6 +141,15 @@ def test_vehicle_spec_validation():
         VehicleSpec(turnaround_min=10.5)  # the loader refuses it too, but not every caller loads
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["cruise_speed_mph", "max_range_mi"])
+def test_vehicle_spec_refuses_a_non_finite_number(name, value):
+    # the loader refuses these in JSON, but not every caller loads: a NaN
+    # speed once ran a day whose legs landed near minute -2**63
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got {value}"):
+        VehicleSpec(**{name: value})
+
+
 def test_load_nodes_csv_roundtrip(tmp_path, bay_nodes):
     path = tmp_path / "nodes.csv"
     path.write_text(

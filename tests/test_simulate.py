@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -13,14 +14,17 @@ from uamsim import (
     REVENUE,
     ConfigError,
     DemandRates,
+    GeoNode,
     RiderRequest,
     SimConfig,
     Simulation,
     TripRecord,
     VehicleSpec,
+    build_network,
     generate_arrivals,
     run_simulation,
 )
+from uamsim.network import EARTH_RADIUS_MI
 
 from conftest import backlog_config, single_pair_rates
 
@@ -267,6 +271,35 @@ def test_no_duplicate_summons_while_help_inbound(net, spec):
         sim.step()
     # one summon only, even though two more idle vehicles sat at OAK
     assert len(sim.trips) == 1
+
+
+def test_helper_flying_riders_into_the_origin_is_not_inbound():
+    # four nodes on the equator, at these miles: Y, X, S and Z; Z is out of
+    # range of X and Y, so the rider at Z cannot summon from either
+    miles = {"Y": -12.0, "X": 0.0, "S": 32.0, "Z": 64.0}
+    nodes = [GeoNode(i, code, 0.0, math.degrees(mi / EARTH_RADIUS_MI))
+             for i, (code, mi) in enumerate(miles.items())]
+    spec = VehicleSpec(turnaround_min=30)
+    Y, X, S, Z = range(4)
+    net = build_network(nodes, spec)
+    assert not net.feasible[X, Z] and not net.feasible[Y, Z]
+    # with repositioning on, the aircraft idle at Y would fly the same empty
+    # leg to S whether or not the S rider summoned it
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=100,
+                    reposition_enabled=False, charge_after_reposition=False,
+                    initial_placement=f"node:{X}")
+    riders = [RiderRequest(0, Z, S, 0), RiderRequest(1, X, Y, 0), RiderRequest(2, S, X, 0)]
+    result = scripted_sim(cfg, riders).run()
+    assert result.trips == (
+        TripRecord(0, REVENUE, X, Y, 0, 10, (1,)),
+        TripRecord(1, REPOSITION, X, S, 0, 18, ()),  # rider 2 summons aircraft 1
+        TripRecord(1, REPOSITION, S, Z, 18, 36, ()),  # rider 0 takes it from S
+        TripRecord(1, REVENUE, Z, S, 36, 54, (0,)),  # and rides it back into S
+        # aircraft 1's last leg ends at S, but it carries riders and a
+        # 30-minute charge follows: rider 2 summons aircraft 0, idle again
+        TripRecord(0, REPOSITION, Y, S, 40, 63, ()),
+        TripRecord(0, REVENUE, S, X, 63, 81, (2,)),
+    )
 
 
 def test_lower_vehicle_id_wins_at_origin(net, spec):

@@ -121,6 +121,13 @@ def test_size_fleet_refuses_a_nonpositive_alpha(net, spec, baseline_rates, alpha
         size_fleet(net, spec, baseline_rates, alpha=alpha)
 
 
+def test_size_fleet_refuses_rates_of_another_size(net, spec):
+    # a 3x3 matrix on the 4-node network once raised numpy's broadcast error
+    rates = DemandRates(per_min=np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match="demand rate matrix does not match the network size"):
+        size_fleet(net, spec, rates)
+
+
 def test_size_fleet_chain(net, spec, baseline_rates):
     report = size_fleet(net, spec, baseline_rates, alpha=2.0, pooling_q=3.0)
     assert report.avg_cycle_min == pytest.approx(23.0, abs=0.1)

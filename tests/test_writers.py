@@ -95,7 +95,7 @@ def test_writers_equal_the_csv_writer_oracles(case, tmp_path, net, spec, baselin
     writers = [
         (write_trips_csv, trips_oracle, result),
         (write_riders_csv, riders_oracle, result),
-        (write_waits_csv, waits_oracle, result.waits()),
+        (write_waits_csv, waits_oracle, result.waits),
     ]
     for write, oracle, data in writers:
         write(data, tmp_path / "got.csv")
