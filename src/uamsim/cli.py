@@ -263,7 +263,8 @@ def cmd_sweep(args) -> int:
     _, net, _, rates = build_world(cfg)
     out = _out_dir(args)
     n_min, n_max = args.n_min, args.n_max
-    rows = list(refine_fleet(_sim_config(cfg, net, rates, n_min), cfg.seeds, n_min, n_max))
+    # refine_fleet sets each run's fleet, so the template's is any valid one
+    rows = list(refine_fleet(_sim_config(cfg, net, rates, 1), cfg.seeds, n_min, n_max))
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"{'fleet':>6}{'mean wait':>11}{'p95':>7}{'served':>9}{'u_air':>8}{'u_cycle':>9}{'wait ok':>9}")
     for row in rows:

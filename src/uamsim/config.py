@@ -4,28 +4,30 @@ Paths inside the document are resolved relative to the document itself, so
 a scenario directory can be moved or copied wholesale.  Flag values passed
 by the CLI override config fields, which override built-in defaults.
 
-The loader reads each field's type from ``dataclasses.fields``, so this
-module and ``network`` (``VehicleSpec``) do not postpone annotations: a
-field's ``type`` must be the type itself, not its name as a string.
+The loader and ``network._check_fields`` read each field's type from
+``dataclasses.fields``, so this module, ``network`` and ``simulate`` do
+not postpone annotations: a field's ``type`` must be the type itself, not
+its name as a string.
 """
 
 import json
-import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args
 
 from .demand import DemandRates, ODMatrix, compute_rates, load_od_csv
-from .errors import ConfigError, ValidationError
-from .network import GeoNode, RouteNetwork, VehicleSpec, build_network, load_nodes_csv
+from .errors import ConfigError
+from .network import (_SCALAR_KINDS, GeoNode, RouteNetwork, VehicleSpec, _check_fields, build_network,
+                      load_nodes_csv)
 
 
 @dataclass(frozen=True)
 class CostParams:
     """Unit costs for the door-to-door comparison against driving.
 
-    Every field must be positive and finite, and at least its ``at_least``
-    metadata where it has one: a road is never shorter than the great circle.
+    Every field must be positive and finite, and ``circuity`` at least 1.0:
+    a road is never shorter than the great circle.
     """
 
     car_speed_mph: float
@@ -35,12 +37,7 @@ class CostParams:
     circuity: float = field(default=1.3, metadata={"at_least": 1.0})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:  # NaN fails both comparisons
-                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
-            if value < f.metadata.get("at_least", 0):
-                raise ValidationError(f"{f.name} must be at least {f.metadata['at_least']}, got {value}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,8 @@ class ScenarioConfig:
 
     The fields are the schema: each is one key of the JSON document, read
     with its annotated type, and a key left out takes the default here.
+    Every number must be finite and positive, or at least its ``at_least``
+    metadata, and ``pooling_q`` at most the vehicle's capacity.
     """
 
     nodes: Path
@@ -61,30 +60,17 @@ class ScenarioConfig:
     fleet: int | None = None
     alpha: float = 2.0
     pooling_q: float = 3.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"at_least": 0})
     seeds: int = 1
     reposition_enabled: bool = True
     charge_after_reposition: bool = True
     initial_placement: str = "round_robin"
-    compare_wait_min: float = 0.0
+    compare_wait_min: float = field(default=0.0, metadata={"at_least": 0.0})
 
     def __post_init__(self):
-        if self.days_per_month <= 0 or self.op_hours_per_day <= 0:
-            raise ConfigError("days_per_month and op_hours_per_day must be positive")
-        if self.t_sim_min <= 0:
-            raise ConfigError(f"t_sim_min must be positive, got {self.t_sim_min}")
-        if self.fleet is not None and self.fleet < 1:
-            raise ConfigError(f"fleet must be at least 1, got {self.fleet}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not 0 < self.pooling_q <= self.vehicle.capacity:
-            raise ConfigError(f"pooling_q must be in (0, {self.vehicle.capacity}]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be at least 1, got {self.seeds}")
-        if self.compare_wait_min < 0:
-            raise ConfigError(f"compare_wait_min must be nonnegative, got {self.compare_wait_min}")
+        _check_fields(self)
+        if self.pooling_q > self.vehicle.capacity:
+            raise ConfigError(f"pooling_q must be in (0, {self.vehicle.capacity}], got {self.pooling_q}")
         placement_node(self.initial_placement)
 
     def to_dict(self) -> dict:
@@ -148,15 +134,6 @@ def _read(path: Path, key: str, value, hint):
     return kind(_checked(path, key, value, kind))
 
 
-# JSON value types each scalar kind accepts, and how a message names the kind
-_SCALAR_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
-    str: ((str,), "a string"),
-}
-
-
 def _checked(path: Path, key: str, value, kind: type):
     """``value`` if it is of ``kind``'s JSON type and, for a number, finite.
 
@@ -167,13 +144,8 @@ def _checked(path: Path, key: str, value, kind: type):
     accepted, name = _SCALAR_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
-    if kind is float:
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails the test too
+        raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
     return value
 
 

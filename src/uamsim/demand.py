@@ -164,12 +164,13 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
 def compute_rates(od: ODMatrix, days_per_month: int = 30, op_hours_per_day: float = 20.0) -> DemandRates:
     """Convert monthly counts to passengers per operating minute.
 
-    ``DemandRates`` refuses a rate beyond the sampler's range.
+    ``DemandRates`` refuses a rate beyond the sampler's range; an infinite
+    month would give all-zero rates, so both arguments must be finite.
     """
-    if days_per_month <= 0:
-        raise ValidationError(f"days_per_month must be positive, got {days_per_month}")
-    if op_hours_per_day <= 0:
-        raise ValidationError(f"op_hours_per_day must be positive, got {op_hours_per_day}")
+    if not 0 < days_per_month < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"days_per_month must be positive and finite, got {days_per_month}")
+    if not 0 < op_hours_per_day < math.inf:
+        raise ValidationError(f"op_hours_per_day must be positive and finite, got {op_hours_per_day}")
     minutes_per_month = days_per_month * op_hours_per_day * 60.0
     return DemandRates(per_min=od.counts.astype(np.float64) / minutes_per_month)
 

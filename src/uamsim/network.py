@@ -6,13 +6,14 @@ whenever its length fits inside the vehicle's maximum range.  All matrices
 are built once and never mutated; every function here is pure.
 """
 
-# annotations are not postponed here: VehicleSpec's own check and the
-# scenario loader in config.py read each field's type from dataclasses.fields
+# annotations are not postponed here: _check_fields and the scenario loader
+# in config.py read each field's type from dataclasses.fields
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_args
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class VehicleSpec:
     hour of flying costs is the scenario's ``cost.op_cost_per_hr``.
     These fields are also the keys of a scenario's ``vehicle`` object, and
     no other key is accepted there.  Every field must be positive and
-    finite, and an ``int`` field an integer.
+    finite, and an ``int`` field an integer: a fractional turnaround or
+    buffer would schedule transitions that the integer minute clock never
+    reaches, stalling the fleet.
     """
 
     cruise_speed_mph: float = 150.0
@@ -59,14 +62,7 @@ class VehicleSpec:
     capacity: int = 4
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a fractional turnaround or buffer would schedule transitions
-            # that the integer minute clock never reaches, stalling the fleet
-            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-            if not 0 < value < math.inf:  # NaN fails both comparisons
-                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -178,10 +174,52 @@ def _write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> 
         writer.writerows(rows)
 
 
+# the Python types a field of each scalar type accepts, and how a message names it
+_SCALAR_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
+
+
+def _check_fields(obj) -> None:
+    """Refuse a scalar field of the dataclass ``obj`` that breaks its type or bound.
+
+    A field annotated ``int``, ``float``, ``bool`` or ``str``, or one of
+    these ``| None`` (which may then hold None), must hold a value of that
+    type, and a bool is no integer.  A number must be finite, within the
+    float range, and positive, or at least the field's ``at_least``
+    metadata where it has one.  Other fields are left to their owner.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = get_args(f.type) or (f.type,)
+        kind = kinds[0]
+        if kind not in _SCALAR_KINDS or (value is None and type(None) in kinds):
+            continue
+        accepted, name = _SCALAR_KINDS[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{f.name} must be {name}, got {value!r}")
+        if kind in (bool, str):
+            continue
+        floor = f.metadata.get("at_least")
+        sign = "nonnegative" if floor == 0 else "positive"
+        # NaN fails the test, and so does an int beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be {sign} and finite, got {value}")
+        if value < 0 or (value == 0 and floor != 0):
+            raise ConfigError(f"{f.name} must be {sign}, got {value}")
+        if floor is not None and value < floor:
+            raise ConfigError(f"{f.name} must be at least {floor}, got {value}")
+
+
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:
     """Read a ``nodes.csv`` file (header ``id,code,lat,lon``) into GeoNodes.
 
     A row with more cells than the header is rejected with its line number.
+    ``build_network`` checks that the ids are contiguous and the codes
+    unique.
     """
     path = Path(path)
     nodes: list[GeoNode] = []
@@ -199,9 +237,4 @@ def load_nodes_csv(path: str | Path) -> list[GeoNode]:
             raise IngestionError(f"{path}:{lineno}: bad node row {row}: {exc}") from exc
     if not nodes:
         raise IngestionError(f"{path}: no node rows")
-    if sorted(node.id for node in nodes) != list(range(len(nodes))):
-        raise IngestionError(f"{path}: node ids must be contiguous 0..n-1 and unique")
-    codes = [node.code for node in nodes]
-    if len(set(codes)) != len(codes):
-        raise IngestionError(f"{path}: duplicate node codes")
     return sorted(nodes, key=lambda node: node.id)

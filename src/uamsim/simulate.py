@@ -78,10 +78,9 @@ class, called from C, which skips the Python frame of the generated
 ``__new__`` once per leg and per rider.
 """
 
-from __future__ import annotations
-
+# annotations are not postponed: SimConfig's check reads each field's type
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from operator import add
@@ -93,7 +92,7 @@ import numpy as np
 from .config import placement_node
 from .demand import DemandRates, RiderRequest, check_demand_in_range, generate_arrivals
 from .errors import ConfigError
-from .network import RouteNetwork, VehicleSpec, _write_csv
+from .network import RouteNetwork, VehicleSpec, _check_fields, _write_csv
 
 REVENUE = "revenue"
 REPOSITION = "reposition"
@@ -149,15 +148,29 @@ class VehicleStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's inputs, checked when built.
+
+    ``fleet`` and ``t_sim`` must be positive integers and ``seed`` a
+    nonnegative one, the placement node must be a node of ``net``, and the
+    rates must be ``net``'s size with no demand on a pair beyond range.
+    """
+
     net: RouteNetwork
     spec: VehicleSpec
     rates: DemandRates
     fleet: int
     t_sim: int = 1200
-    seed: int = 0
+    seed: int = field(default=0, metadata={"at_least": 0})
     reposition_enabled: bool = True
     charge_after_reposition: bool = True
     initial_placement: str = "round_robin"  # or "node:<id>"
+
+    def __post_init__(self):
+        _check_fields(self)
+        start = placement_node(self.initial_placement)
+        if start is not None and not 0 <= start < self.net.n:
+            raise ConfigError(f"initial placement node {start} out of range")
+        check_demand_in_range(self.rates, self.net)
 
 
 @dataclass(frozen=True)
@@ -202,21 +215,16 @@ class Simulation:
     """
 
     def __init__(self, cfg: SimConfig, riders: list[RiderRequest] | None = None):
-        """``riders`` is the arrival stream if it was sampled already: it must
-        equal ``generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)`` (unit
-        scenarios hand-write one over zero rates).  It is only read, so one
-        list can serve many runs.  ``None`` samples it here.
-        """
-        if cfg.fleet < 1:
-            raise ConfigError(f"fleet must be at least 1, got {cfg.fleet}")
-        if cfg.t_sim <= 0:
-            raise ConfigError(f"t_sim must be positive, got {cfg.t_sim}")
-        n = cfg.net.n
-        check_demand_in_range(cfg.rates, cfg.net)
-        start = placement_node(cfg.initial_placement)
-        if start is not None and not 0 <= start < n:
-            raise ConfigError(f"initial placement node {start} out of range")
+        """``riders`` is the arrival stream, or ``None`` to sample
+        ``generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)`` here.
 
+        A stream sampled beforehand lets one list serve many runs (it is
+        only read); unit scenarios hand-write one, often over zero rates.
+        Any stream must hold rider ``i`` at place ``i``, each arriving in
+        ``[0, t_sim)`` on a feasible pair of ``cfg.net``; a rider that
+        breaks this is refused with a ``ConfigError`` naming it.
+        """
+        n = cfg.net.n
         self.cfg = cfg
         self.n = n
         self.capacity = cfg.spec.capacity
@@ -238,14 +246,22 @@ class Simulation:
             riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
         self.all_riders = riders
         self.arrivals_by_minute: list[list[RiderRequest]] = [[] for _ in range(cfg.t_sim)]
-        for rider in self.all_riders:
-            self.arrivals_by_minute[rider.arrival_min].append(rider)
+        t_sim, feasible, by_minute = cfg.t_sim, self.feasible, self.arrivals_by_minute
+        for i, rider in enumerate(riders):
+            rider_id, origin, dest, minute = rider
+            # a negative node would wrap, and feasible is False on the diagonal
+            if not (rider_id == i and 0 <= minute < t_sim and 0 <= origin < n and 0 <= dest < n
+                    and feasible[origin][dest]):
+                raise ConfigError(f"stream rider {i} is {rider}; it must have rider_id {i} and "
+                                  f"arrive in [0, {t_sim}) on a feasible pair of the network")
+            by_minute[minute].append(rider)
 
         # each vehicle's last leg; before its first take-off, a riderless
         # leg that landed at its start node at minute 0
         self.last_leg: list[TripRecord] = []
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
+        start = placement_node(cfg.initial_placement)
         for vid in range(cfg.fleet):
             node = vid % n if start is None else start
             self.last_leg.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))

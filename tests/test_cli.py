@@ -63,6 +63,18 @@ def test_missing_nodes_file_exits_2(scenario_dir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0,SFO,37.6,-122.4", "1,SFO,37.7,-122.2"], "duplicate node codes"),
+    (["0,SFO,37.6,-122.4", "2,OAK,37.7,-122.2"], "node ids must be contiguous 0..n-1"),
+], ids=["duplicate-code", "id-gap"])
+def test_bad_node_set_exits_2(scenario_dir, capsys, rows, message):
+    (scenario_dir / "nodes.csv").write_text("\n".join(["id,code,lat,lon", *rows, ""]))
+    assert run_cli("distances", "--config", scenario_dir / "config.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert run_cli("demand", "--config", tmp_path / "nope.json") == EXIT_CONFIG
 

@@ -102,6 +102,18 @@ def test_demand_rates_refuse_what_the_sampler_cannot_draw(per_min, message):
         DemandRates(per_min=per_min)
 
 
+@pytest.mark.parametrize("days, hours, message", [
+    (30, math.inf, "op_hours_per_day must be positive and finite, got inf"),  # gave all-zero rates
+    (30, math.nan, "op_hours_per_day must be positive and finite, got nan"),
+    (math.inf, 20.0, "days_per_month must be positive and finite, got inf"),
+    (math.nan, 20.0, "days_per_month must be positive and finite, got nan"),
+])
+def test_compute_rates_refuses_a_non_finite_month(days, hours, message):
+    with pytest.raises(ValidationError) as err:
+        compute_rates(_od([[0, 100], [0, 0]]), days_per_month=days, op_hours_per_day=hours)
+    assert str(err.value) == message
+
+
 def test_rate_unit_denominator():
     od = _od([[0, 36000], [0, 0]])
     rates = compute_rates(od, days_per_month=30, op_hours_per_day=20)

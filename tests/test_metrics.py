@@ -52,6 +52,12 @@ def test_cost_params_refuse_a_non_finite_number(name, value):
         CostParams(**{"car_speed_mph": 20.0, name: value})
 
 
+def test_cost_params_refuse_a_road_shorter_than_the_great_circle():
+    with pytest.raises(ValidationError, match="circuity must be at least 1.0, got 0.9"):
+        CostParams(car_speed_mph=20.0, circuity=0.9)
+    assert CostParams(car_speed_mph=20.0, circuity=1.0).circuity == 1.0
+
+
 # -- wait statistics ------------------------------------------------------------
 
 def test_wait_stats_uniform():

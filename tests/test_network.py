@@ -165,8 +165,8 @@ def test_load_nodes_csv_errors(tmp_path):
         load_nodes_csv(missing)
     gap = tmp_path / "gap.csv"
     gap.write_text("id,code,lat,lon\n0,SFO,37.6,-122.4\n2,OAK,37.7,-122.2\n")
-    with pytest.raises(IngestionError):
-        load_nodes_csv(gap)
+    with pytest.raises(ConfigError, match="contiguous"):  # build_network checks the node set
+        build_network(load_nodes_csv(gap), VehicleSpec())
     bad = tmp_path / "bad.csv"
     bad.write_text("id,code,lat,lon\n0,SFO,not-a-number,-122.4\n")
     with pytest.raises(IngestionError):

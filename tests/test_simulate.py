@@ -412,9 +412,8 @@ def test_demand_on_infeasible_route_rejected(bay_nodes, baseline_rates):
 
     short = VehicleSpec(max_range_mi=20.0)
     net20 = build_network(bay_nodes, short)
-    cfg = SimConfig(net=net20, spec=short, rates=baseline_rates, fleet=4, t_sim=100)
     with pytest.raises(ConfigError, match="infeasible") as err:
-        Simulation(cfg)
+        SimConfig(net=net20, spec=short, rates=baseline_rates, fleet=4, t_sim=100)
     # named in row-major order as (origin, dest) pairs
     bad = [(i, j) for i in range(net20.n) for j in range(net20.n)
            if baseline_rates.per_min[i, j] > 0 and not net20.feasible[i, j]]
@@ -423,25 +422,77 @@ def test_demand_on_infeasible_route_rejected(bay_nodes, baseline_rates):
 
 
 def test_bad_placement_rule_rejected(net, spec):
-    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
-                    initial_placement="everywhere")
     with pytest.raises(ConfigError):
-        Simulation(cfg)
+        SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
+                  initial_placement="everywhere")
 
 
 def test_placement_node_outside_network_rejected(net, spec):
     # the rule parses, so only the network can tell that node 4 is missing
-    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
-                    initial_placement="node:4")
     with pytest.raises(ConfigError, match="out of range"):
-        Simulation(cfg)
+        SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=10,
+                  initial_placement="node:4")
 
 
 def test_fleet_and_horizon_validated(net, spec):
     with pytest.raises(ConfigError):
-        Simulation(SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=0, t_sim=10))
+        SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=0, t_sim=10)
     with pytest.raises(ConfigError):
-        Simulation(SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=0))
+        SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("fleet", 2.5, "fleet must be an integer, got 2.5"),
+    ("fleet", True, "fleet must be an integer, got True"),
+    ("fleet", math.inf, "fleet must be an integer, got inf"),
+    ("t_sim", 60.5, "t_sim must be an integer, got 60.5"),
+    ("t_sim", math.nan, "t_sim must be an integer, got nan"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("reposition_enabled", "no", "reposition_enabled must be true or false, got 'no'"),
+])
+def test_sim_config_checks_its_fields(net, spec, field, value, message):
+    # each was accepted when built; a fractional fleet or horizon then
+    # failed inside the engine, or not at all
+    with pytest.raises(ConfigError) as err:
+        SimConfig(**{"net": net, "spec": spec, "rates": zero_rates(net), "fleet": 2, "t_sim": 60,
+                     field: value})
+    assert str(err.value) == message
+
+
+def test_rider_beyond_range_is_refused():
+    # two nodes 100 mi apart with a 60 mi range: the leg was flown and served
+    spec = VehicleSpec()
+    nodes = [GeoNode(0, "A", 0.0, 0.0), GeoNode(1, "B", 0.0, math.degrees(100.0 / EARTH_RADIUS_MI))]
+    net = build_network(nodes, spec)
+    assert not net.feasible.any()
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=60)
+    with pytest.raises(ConfigError, match=r"stream rider 0 is RiderRequest\(rider_id=0, origin=0, dest=1"):
+        Simulation(cfg, riders=[RiderRequest(0, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("riders, place", [
+    ([RiderRequest(0, SFO, OAK, -1)], 0),  # wrapped to the last minute
+    ([RiderRequest(0, SFO, OAK, 60)], 0),  # an IndexError
+    ([RiderRequest(0, SFO, OAK, 0), RiderRequest(1, SFO, SFO, 0)], 1),  # a self-trip, flown and served
+    ([RiderRequest(0, SFO, 5, 0)], 0),  # an IndexError
+    ([RiderRequest(0, -1, OAK, 0)], 0),  # wrapped to the last node
+    ([RiderRequest(0, SFO, -4, 0)], 0),  # wrapped to the first node, a self-trip
+    ([RiderRequest(1, SFO, OAK, 50), RiderRequest(0, OAK, SFO, 0)], 0),  # swapped the two outcomes
+], ids=["before-minute-0", "at-the-horizon", "self-trip", "unknown-node", "negative-origin",
+        "negative-dest", "ids-out-of-place"])
+def test_hand_given_stream_is_checked(net, spec, riders, place):
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=60)
+    with pytest.raises(ConfigError, match=rf"stream rider {place} is .*; it must have rider_id {place} and "
+                                          r"arrive in \[0, 60\) on a feasible pair of the network"):
+        Simulation(cfg, riders=riders)
+
+
+def test_hand_given_stream_on_every_edge_runs(net, spec):
+    # first and last minute, lowest and highest node
+    riders = [RiderRequest(0, SFO, PAO, 0), RiderRequest(1, PAO, SFO, 59)]
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=60)
+    assert run_simulation(cfg, riders).generated == 2
 
 
 # -- system invariants over random configs -------------------------------------
