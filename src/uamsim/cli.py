@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import gc
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from operator import attrgetter, countOf
@@ -50,14 +49,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
-def finite_float(text: str) -> float:
-    """argparse type: a float other than nan or +-inf, which float() accepts."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
 # every flag but --out, --n-min and --n-max overrides the ScenarioConfig
 # field named by its dest
 _FLAGS = {
@@ -65,9 +56,9 @@ _FLAGS = {
     "--seed": dict(type=int, help="base RNG seed"),
     "--minutes": dict(type=int, dest="t_sim_min", help="simulation horizon in minutes"),
     "--fleet": dict(type=int, help="fleet size override"),
-    "--alpha": dict(type=finite_float, help="sizing safety factor"),
+    "--alpha": dict(type=float, help="sizing safety factor"),
     "--seeds": dict(type=int, help="replicate count for averaging"),
-    "--wait": dict(type=finite_float, dest="compare_wait_min", help="assumed rider wait in minutes"),
+    "--wait": dict(type=float, dest="compare_wait_min", help="assumed rider wait in minutes"),
     "--n-min": dict(type=int, default=1, help="smallest fleet size (default 1)"),
     "--n-max": dict(type=int, default=40, help="largest fleet size (default 40)"),
 }

@@ -139,7 +139,10 @@ def _checked(path: Path, key: str, value, kind: type):
 
     Python's json reads ``NaN``, ``Infinity`` and overflowing literals as
     floats, and integer literals of any length as ints; no field of the
-    model means anything by a number beyond the float range.
+    model means anything by a number beyond the float range.  These tests
+    repeat ``_check_fields``'s because ``_read`` converts the value before
+    the dataclass sees it: ``float(10**400)`` raises ``OverflowError`` and
+    ``int(2.5)`` is 2.  Here the message names the file and the key.
     """
     accepted, name = _SCALAR_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):

@@ -165,11 +165,12 @@ def compute_rates(od: ODMatrix, days_per_month: int = 30, op_hours_per_day: floa
     """Convert monthly counts to passengers per operating minute.
 
     ``DemandRates`` refuses a rate beyond the sampler's range; an infinite
-    month would give all-zero rates, so both arguments must be finite.
+    month would give all-zero rates, so both arguments must be positive and
+    within the float range, which NaN and an int such as ``10**400`` are not.
     """
-    if not 0 < days_per_month < math.inf:  # NaN fails both comparisons
+    if not 0 < days_per_month <= sys.float_info.max:
         raise ValidationError(f"days_per_month must be positive and finite, got {days_per_month}")
-    if not 0 < op_hours_per_day < math.inf:
+    if not 0 < op_hours_per_day <= sys.float_info.max:
         raise ValidationError(f"op_hours_per_day must be positive and finite, got {op_hours_per_day}")
     minutes_per_month = days_per_month * op_hours_per_day * 60.0
     return DemandRates(per_min=od.counts.astype(np.float64) / minutes_per_month)

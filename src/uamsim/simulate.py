@@ -167,10 +167,15 @@ class SimConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        start = placement_node(self.initial_placement)
+        start = self.start_node
         if start is not None and not 0 <= start < self.net.n:
             raise ConfigError(f"initial placement node {start} out of range")
         check_demand_in_range(self.rates, self.net)
+
+    @cached_property
+    def start_node(self) -> int | None:
+        """The node every aircraft starts at, or None for round robin."""
+        return placement_node(self.initial_placement)
 
 
 @dataclass(frozen=True)
@@ -246,12 +251,11 @@ class Simulation:
             riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
         self.all_riders = riders
         self.arrivals_by_minute: list[list[RiderRequest]] = [[] for _ in range(cfg.t_sim)]
-        t_sim, feasible, by_minute = cfg.t_sim, self.feasible, self.arrivals_by_minute
+        t_sim, by_minute = cfg.t_sim, self.arrivals_by_minute
+        pairs = {(o, d) for o, row in enumerate(self.feasible) for d, ok in enumerate(row) if ok}
         for i, rider in enumerate(riders):
             rider_id, origin, dest, minute = rider
-            # a negative node would wrap, and feasible is False on the diagonal
-            if not (rider_id == i and 0 <= minute < t_sim and 0 <= origin < n and 0 <= dest < n
-                    and feasible[origin][dest]):
+            if not (rider_id == i and 0 <= minute < t_sim and (origin, dest) in pairs):
                 raise ConfigError(f"stream rider {i} is {rider}; it must have rider_id {i} and "
                                   f"arrive in [0, {t_sim}) on a feasible pair of the network")
             by_minute[minute].append(rider)
@@ -261,7 +265,7 @@ class Simulation:
         self.last_leg: list[TripRecord] = []
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
-        start = placement_node(cfg.initial_placement)
+        start = cfg.start_node
         for vid in range(cfg.fleet):
             node = vid % n if start is None else start
             self.last_leg.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))

@@ -11,6 +11,7 @@ refinement that corrects this estimate lives in :mod:`uamsim.metrics`.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -73,7 +74,7 @@ def size_fleet(
     t_avg = avg_cycle_time(net, spec)
     if not 0 < pooling_q <= spec.capacity:
         raise ValidationError(f"pooling_q must be in (0, {spec.capacity}], got {pooling_q}")
-    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+    if not 0 < alpha <= sys.float_info.max:  # NaN and an int beyond the float range fail
         raise ValidationError(f"safety factor must be positive, got {alpha}")
     if not ALPHA_BAND[0] <= alpha <= ALPHA_BAND[1]:
         warnings.warn(f"safety factor {alpha} outside the usual band {ALPHA_BAND}", stacklevel=2)

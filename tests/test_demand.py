@@ -107,6 +107,8 @@ def test_demand_rates_refuse_what_the_sampler_cannot_draw(per_min, message):
     (30, math.nan, "op_hours_per_day must be positive and finite, got nan"),
     (math.inf, 20.0, "days_per_month must be positive and finite, got inf"),
     (math.nan, 20.0, "days_per_month must be positive and finite, got nan"),
+    pytest.param(10**400, 20.0, f"days_per_month must be positive and finite, got {10**400}",
+                 id="days-beyond-float-range"),  # gave a bare OverflowError
 ])
 def test_compute_rates_refuses_a_non_finite_month(days, hours, message):
     with pytest.raises(ValidationError) as err:

@@ -115,8 +115,9 @@ def test_robust_fleet_warns_outside_band(net, spec, baseline_rates):
         assert record[0].filename == __file__  # the caller's line, not sizing.py
 
 
-# NaN once ended in a bare ValueError and +inf in an OverflowError
-@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+# NaN once ended in a bare ValueError, and +inf and 10**400 in an OverflowError
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf,
+                                   pytest.param(10**400, id="beyond-float-range")])
 def test_size_fleet_refuses_a_nonpositive_alpha(net, spec, baseline_rates, alpha):
     with pytest.raises(ValidationError, match=f"safety factor must be positive, got {alpha}"):
         size_fleet(net, spec, baseline_rates, alpha=alpha)

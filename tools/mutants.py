@@ -15,8 +15,7 @@ named test file is missing; a stale mutant is restated against the current
 code, not dropped.  A mutant that stops pytest before a test can fail (a
 syntax error, say) is an *error*: it shows nothing about the tests.
 Prints one line per mutant and exits 1 unless every mutant was killed.
-Run from anywhere: ``python tools/mutants.py [NAME ...]``, where the
-optional names pick mutants from the file.
+Run from anywhere: ``python tools/mutants.py``.
 """
 
 from __future__ import annotations
@@ -66,16 +65,9 @@ def run_mutant(mutant: dict) -> str:
     return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
 
 
-def main(argv: list[str]) -> int:
-    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    unknown = set(argv) - {m["name"] for m in mutants}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = 0
-    for mutant in mutants:
-        if argv and mutant["name"] not in argv:
-            continue
+    for mutant in json.loads(MUTANTS.read_text(encoding="utf-8")):
         start = time.perf_counter()
         outcome = run_mutant(mutant)
         bad += outcome != "killed"
@@ -85,4 +77,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
