@@ -21,7 +21,7 @@ from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
 from .network import _write_csv
-from .simulate import REVENUE, SimConfig, SimResult, run_simulation
+from .simulate import REPOSITION, REVENUE, SimConfig, SimResult, run_simulation
 
 WAIT_TARGET_MIN = 10.0
 U_AIR_BAND = (0.60, 0.70)
@@ -84,29 +84,39 @@ def utilization_band(u_air: float) -> str:
 
 
 def throughput_matrix(result: SimResult) -> np.ndarray:
-    """Dropped-off rider counts per ordered pair."""
-    n = result.config.net.n
-    pairs = np.fromiter(
-        (r.origin * n + r.dest for r in result.riders if r.dropoff_min is not None), dtype=np.int64)
-    return np.bincount(pairs, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
+    """Dropped-off rider counts per ordered pair.
+
+    A leg's riders share its pair, so each leg that landed before the
+    horizon adds its rider count to its own pair.
+    """
+    n, t_end = result.config.net.n, result.config.t_sim
+    landed = [(leg.origin * n + leg.dest, len(leg.rider_ids))
+              for leg in result.trips if leg.arrive_min < t_end]
+    pairs, riders = np.array(landed, dtype=np.int64).reshape(-1, 2).T
+    # the float sums of integer weights are exact far beyond any rider count
+    return np.bincount(pairs, weights=riders, minlength=n * n).astype(np.int64).reshape(n, n)
 
 
 def compute_metrics(result: SimResult) -> MetricsReport:
-    """Assemble the full report; degenerate zero-demand runs score all zeros."""
-    if result.waits:
-        mean_wait, p95 = wait_stats(result.waits)
-    else:
-        mean_wait, p95 = 0.0, 0.0
-    revenue = reposition = ground = 0
-    for v in result.vehicles:
-        revenue += v.revenue_air_min
-        reposition += v.reposition_air_min
-        ground += v.buffer_min + v.charge_min
-    total = result.config.fleet * result.config.t_sim
+    """Assemble the full report; degenerate zero-demand runs score all zeros.
+
+    One pass over the trip log sums each leg's minutes before the horizon
+    (``SimConfig.clamped_minutes``) and the riders seated on revenue legs.
+    """
+    mean_wait, p95 = wait_stats(result.waits) if result.waits else (0.0, 0.0)
+    cfg = result.config
+    air = {REVENUE: 0, REPOSITION: 0}
+    ground = revenue_legs = seated = 0
+    for leg, (buffer, minutes, charge) in zip(result.trips, cfg.clamped_minutes(result.trips)):
+        air[leg.kind] += minutes
+        ground += buffer + charge
+        revenue_legs += leg.kind == REVENUE
+        seated += len(leg.rider_ids)  # only revenue legs carry riders
+    revenue, reposition = air[REVENUE], air[REPOSITION]
+    total = cfg.fleet * cfg.t_sim
     u_air = revenue / total
     band = utilization_band(u_air)
-    groups = [t.rider_ids for t in result.trips if t.kind == REVENUE]
-    lf = sum(map(len, groups)) / (result.config.spec.capacity * len(groups)) if groups else 0.0
+    lf = seated / (cfg.spec.capacity * revenue_legs) if revenue_legs else 0.0
     return MetricsReport(
         mean_wait=mean_wait,
         p95_wait=p95,

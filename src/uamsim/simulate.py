@@ -39,23 +39,26 @@ the rider's origin.  A helper that has gone idle there sits on that node's
 heap, so the rider boards before the test is reached, and a helper taken
 by another rider meanwhile has a new last leg.
 
-The trip log is the only record of a boarding and of a vehicle's minutes.
-A rider boards at its leg's ``depart_min`` and is dropped off at its
-``arrive_min``.  ``_finalize`` reads each vehicle's five buckets from its
-legs in log order: every leg books its buffer, its airborne minutes
-``arrive_min - depart_min - buffer`` into the bucket its ``kind`` names,
-and its turnaround, and the idle minutes are the gaps from the end of one
-charge to the next ``depart_min``, plus the tail after the last.
+The trip log is the run's result.  ``run`` returns a ``SimResult`` that
+holds the config, the arrival stream, the log, each vehicle's last leg and
+the count of riders still waiting; everything else is read from the log
+when first asked for, and no per-rider or per-vehicle record is built
+unless a caller reads one.  A rider boards at its leg's ``depart_min`` and
+is dropped off at its ``arrive_min``.  Every leg books its buffer, its
+airborne minutes ``arrive_min - depart_min - buffer`` into the bucket its
+``kind`` names, and its turnaround; a vehicle's idle minutes are the rest
+of its day.
 
 Only the last leg of each vehicle can be under way at the horizon: a
-vehicle takes off again only after its leg has landed.  ``_finalize``
-clamps that leg.  Still airborne at ``t_sim`` (landing at or after it),
-the leg keeps the buffer-first split of the minutes it flew since
-``depart_min``, loses the rest of its air minutes and its whole charge,
-its ``kind`` says whether ``end_state`` reads ``"flying"`` or
-``"repositioning"``, and its riders count as onboard: their dropoff is
-blanked.  Charging at ``t_sim``, the vehicle loses the charge minutes past
-the horizon.
+vehicle takes off again only after its leg has landed.  So the horizon
+clamp is a rule on one leg, ``SimConfig.clamped_minutes``, which the
+vehicle buckets and ``compute_metrics`` both read.  Still airborne at
+``t_sim`` (landing at or after it), a leg keeps the buffer-first split of
+the minutes it flew since ``depart_min`` and loses the rest of its air
+minutes and its whole charge; its ``kind`` says whether ``end_state``
+reads ``"flying"`` or ``"repositioning"``, and its riders count as
+onboard, with a blank dropoff.  Charging at ``t_sim``, a vehicle loses the
+charge minutes past the horizon.
 
 The idle vehicles at a node form a ``heapq`` of their ids.  Every launch,
 whether boarding, summon or reposition, takes the lowest id at its node, so
@@ -73,9 +76,9 @@ repeated dispatch pass and a repeated reposition pass are both no-ops.
 The minutes are read from the trip log at the end, so skipping a minute
 loses no accounting.
 
-Trip and rider records are built by ``tuple.__new__`` on their NamedTuple
-class, called from C, which skips the Python frame of the generated
-``__new__`` once per leg and per rider.
+Trip records are built by ``tuple.__new__`` on their NamedTuple class,
+called from C, which skips the Python frame of the generated ``__new__``
+once per leg.
 """
 
 # annotations are not postponed: SimConfig's check reads each field's type
@@ -85,7 +88,7 @@ from functools import cached_property, partial
 from heapq import heappop, heappush
 from operator import add
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,10 +99,6 @@ from .network import RouteNetwork, VehicleSpec, _check_fields, _write_csv
 
 REVENUE = "revenue"
 REPOSITION = "reposition"
-
-
-# end_state of a vehicle still airborne at the horizon, by leg kind
-_AIRBORNE_END_STATE = {REVENUE: "flying", REPOSITION: "repositioning"}
 
 
 class TripRecord(NamedTuple):
@@ -130,7 +129,6 @@ class RiderOutcome(NamedTuple):
 
 
 _new_trip = partial(tuple.__new__, TripRecord)
-_new_outcome = partial(tuple.__new__, RiderOutcome)
 
 
 class VehicleStats(NamedTuple):
@@ -177,26 +175,119 @@ class SimConfig:
         """The node every aircraft starts at, or None for round robin."""
         return placement_node(self.initial_placement)
 
+    @cached_property
+    def turnaround(self) -> dict[str, int]:
+        """Charge minutes after a leg, by its kind."""
+        minutes = self.spec.turnaround_min
+        return {REVENUE: minutes, REPOSITION: minutes if self.charge_after_reposition else 0}
+
+    def clamped_minutes(self, legs: Iterable[TripRecord]) -> Iterator[tuple[int, int, int]]:
+        """Each leg's (buffer, air, charge) minutes that fall before the horizon.
+
+        Only an aircraft's last leg can reach ``t_sim``.  Still aloft there
+        (landing at or after it), a leg keeps the buffer-first split of the
+        minutes it flew since take-off and no charge; a landed leg loses the
+        charge minutes past the horizon.
+        """
+        t_end, buffer, turnaround = self.t_sim, self.spec.buffer_min, self.turnaround
+        for _, kind, _, _, depart, arrive, _ in legs:
+            if arrive + turnaround[kind] <= t_end:  # landed and charged
+                yield buffer, arrive - depart - buffer, turnaround[kind]
+            elif arrive < t_end:  # charging at the horizon
+                yield buffer, arrive - depart - buffer, t_end - arrive
+            else:  # still aloft
+                taxied = min(buffer, t_end - depart)
+                yield taxied, t_end - depart - taxied, 0
+
 
 @dataclass(frozen=True)
 class SimResult:
+    """A run's trip log and what it leaves behind; the rest is read from the log.
+
+    ``stream`` is the arrival stream the run read, ``last_legs`` each
+    aircraft's last leg (``Simulation.last_leg``) and ``unserved`` the riders
+    still waiting at the horizon: a rider leaves the queue only by boarding.
+    ``riders``, ``vehicles``, ``served``, ``onboard_at_end`` and ``waits``
+    are built on first read and then kept; treat them as read-only.
+    """
+
     config: SimConfig
+    stream: list[RiderRequest]
     trips: tuple[TripRecord, ...]
-    riders: tuple[RiderOutcome, ...]
-    vehicles: tuple[VehicleStats, ...]
-    generated: int
-    served: int
-    onboard_at_end: int
+    last_legs: tuple[TripRecord, ...]
     unserved: int
+
+    @property
+    def generated(self) -> int:
+        return len(self.stream)
+
+    @cached_property
+    def _boards_and_dropoffs(self) -> tuple[list[int | None], list[int | None]]:
+        """Each rider's board and dropoff minute, None where it never happened.
+
+        A rider boards at its leg's ``depart_min`` and is dropped off at its
+        ``arrive_min``, unless the leg is still aloft at the horizon.
+        """
+        t_end = self.config.t_sim
+        # generate_arrivals numbers riders by their place in the stream
+        boards, dropoffs = [None] * len(self.stream), [None] * len(self.stream)
+        for _, _, _, _, depart, arrive, rider_ids in self.trips:
+            landed = arrive if arrive < t_end else None
+            for rid in rider_ids:
+                boards[rid] = depart
+                dropoffs[rid] = landed
+        return boards, dropoffs
+
+    def _outcome_rows(self) -> Iterator[tuple]:
+        """Each rider's ``RiderOutcome`` fields, as plain tuples made on demand."""
+        return map(add, self.stream, zip(*self._boards_and_dropoffs))
+
+    @cached_property
+    def riders(self) -> tuple[RiderOutcome, ...]:
+        return tuple(map(RiderOutcome._make, self._outcome_rows()))
+
+    @cached_property
+    def served(self) -> int:
+        return len(self.stream) - self._boards_and_dropoffs[1].count(None)
+
+    @cached_property
+    def onboard_at_end(self) -> int:
+        """Riders who boarded a leg that had not landed."""
+        boards, dropoffs = self._boards_and_dropoffs
+        return dropoffs.count(None) - boards.count(None)
 
     @cached_property
     def waits(self) -> list[int]:
-        """Wait minutes of every rider who boarded, in rider-id order.
+        """Wait minutes of every rider who boarded, in rider-id order."""
+        boards = self._boards_and_dropoffs[0]
+        return [board - rider.arrival_min
+                for rider, board in zip(self.stream, boards) if board is not None]
 
-        Built once, on first read, and shared by every later reader (the
-        metrics and the ``waits.csv`` writer); treat it as read-only.
-        """
-        return [r.board_min - r.arrival_min for r in self.riders if r.board_min is not None]
+    @cached_property
+    def vehicles(self) -> tuple[VehicleStats, ...]:
+        """Each aircraft's legs clamped at the horizon, the rest of its day
+        idle, and the state its last leg leaves it in."""
+        cfg, t_end = self.config, self.config.t_sim
+        # per aircraft: revenue air, reposition air, buffer and charge minutes
+        busy = [[0, 0, 0, 0] for _ in self.last_legs]
+        for leg, (buffer, air, charge) in zip(self.trips, cfg.clamped_minutes(self.trips)):
+            row = busy[leg.vehicle_id]
+            row[leg.kind == REPOSITION] += air
+            row[2] += buffer
+            row[3] += charge
+        stats = []
+        for leg, row in zip(self.last_legs, busy):
+            idle = t_end - sum(row)
+            if leg.arrive_min >= t_end:
+                end = "flying" if leg.kind == REVENUE else "repositioning", None
+            # the charge after its last leg reaches the horizon; an aircraft
+            # that never flew is idle all day, whatever its placeholder leg says
+            elif idle < t_end and leg.arrive_min + cfg.turnaround[leg.kind] >= t_end:
+                end = "charging", leg.dest
+            else:
+                end = "idle", leg.dest
+            stats.append(VehicleStats(leg.vehicle_id, *row, idle, *end))
+        return tuple(stats)
 
     def to_dict(self) -> dict:
         """Canonical dict form, used for byte-identical comparison and JSON."""
@@ -234,11 +325,7 @@ class Simulation:
         self.n = n
         self.capacity = cfg.spec.capacity
         self.buffer = cfg.spec.buffer_min
-        # charge minutes after a leg, by its kind
-        self.turnaround = {
-            REVENUE: cfg.spec.turnaround_min,
-            REPOSITION: cfg.spec.turnaround_min if cfg.charge_after_reposition else 0,
-        }
+        self.turnaround = cfg.turnaround
         # integer airborne minutes per ordered pair
         self.air_min = np.ceil(cfg.net.air_time).astype(int).tolist()
         self.feasible = cfg.net.feasible.tolist()
@@ -409,66 +496,11 @@ class Simulation:
         return self.generated_so_far, self.generated_so_far - waiting - onboard, onboard, waiting
 
     def run(self) -> SimResult:
+        """Step to the horizon and return the result, read from the engine's state."""
         while self.minute < self.cfg.t_sim:
             self.step()
-        return self._finalize()
-
-    def _finalize(self) -> SimResult:
-        """Read the run's outcome from the trip log and snapshot it.
-
-        One pass over the log books each vehicle's minutes, leg by leg, and
-        each rider's board and dropoff minutes from its leg; then each
-        vehicle's last leg is clamped at the horizon.  The engine's state is
-        only read, so a second call gives the same result.
-        """
-        t_end, buffer, turnaround = self.cfg.t_sim, self.buffer, self.turnaround
-        fleet = self.cfg.fleet
-        revenue, reposition, buffers, charge, idle = ([0] * fleet for _ in range(5))
-        air = {REVENUE: revenue, REPOSITION: reposition}
-        free = [0] * fleet  # the minute each vehicle was last idle again
-        # generate_arrivals numbers riders by their place in the stream
-        boards: list[int | None] = [None] * len(self.all_riders)
-        dropoffs = boards.copy()
-        for vid, kind, _, _, depart, arrive, rider_ids in self.trips:
-            idle[vid] += depart - free[vid]
-            buffers[vid] += buffer
-            air[kind][vid] += arrive - depart - buffer
-            charge[vid] += turnaround[kind]
-            free[vid] = arrive + turnaround[kind]
-            landed = arrive if arrive < t_end else None  # a leg still aloft has not landed
-            for rid in rider_ids:
-                boards[rid] = depart
-                dropoffs[rid] = landed
-        stats = []
-        for vid, leg in enumerate(self.last_leg):
-            end_location = leg.dest
-            if leg.arrive_min >= t_end:  # airborne: buffer elapses first, then air
-                buffer_left = max(buffer - (t_end - leg.depart_min), 0)
-                buffers[vid] -= buffer_left
-                air[leg.kind][vid] -= leg.arrive_min - t_end - buffer_left
-                charge[vid] -= free[vid] - leg.arrive_min
-                end_state, end_location = _AIRBORNE_END_STATE[leg.kind], None
-            elif free[vid] >= t_end:  # a charge that ends now is still under way
-                charge[vid] -= free[vid] - t_end
-                end_state = "charging"
-            else:
-                idle[vid] += t_end - free[vid]
-                end_state = "idle"
-            stats.append(VehicleStats(vid, revenue[vid], reposition[vid], buffers[vid],
-                                      charge[vid], idle[vid], end_state, end_location))
-        outcomes = tuple(map(_new_outcome, map(add, self.all_riders, zip(boards, dropoffs))))
-        unlanded = dropoffs.count(None)
-        return SimResult(
-            config=self.cfg,
-            trips=tuple(self.trips),
-            riders=outcomes,
-            vehicles=tuple(stats),
-            generated=len(self.all_riders),
-            served=len(dropoffs) - unlanded,
-            # riders who boarded a leg that had not landed
-            onboard_at_end=unlanded - boards.count(None),
-            unserved=len(self.waiting),
-        )
+        return SimResult(self.cfg, self.all_riders, tuple(self.trips), tuple(self.last_leg),
+                         len(self.waiting))
 
 
 def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> SimResult:
@@ -491,4 +523,5 @@ def write_trips_csv(result: SimResult, path: str | Path) -> None:
 
 def write_riders_csv(result: SimResult, path: str | Path) -> None:
     """Rider ledger; board/dropoff cells are blank when they never happened."""
-    _write_csv(path, RiderOutcome._fields, result.riders)  # csv writes None as an empty cell
+    # csv writes None as an empty cell
+    _write_csv(path, RiderOutcome._fields, result._outcome_rows())

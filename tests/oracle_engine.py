@@ -6,8 +6,10 @@ today's: vehicles move through a ``VehicleState`` enum with per-minute
 countdowns, every pass scans a copy of the waiting riders, pooling scans
 the whole queue, idle vehicles are sets searched with ``min``, every minute
 runs all four phases, and nothing is booked before it happens.  It reads
-the same arrival stream (``generate_arrivals``) and builds the same record
-types, so ``SimResult.to_dict()`` of the two engines can be compared.
+the same arrival stream (``generate_arrivals``) and writes its own rider
+and vehicle ledgers into a dict of ``SimResult.to_dict()``'s shape, so the
+two engines can be compared without deriving either ledger through the
+engine's code.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ import math
 from enum import Enum
 
 from uamsim.demand import RiderRequest, generate_arrivals
-from uamsim.simulate import (
-    REPOSITION,
-    REVENUE,
-    RiderOutcome,
-    SimConfig,
-    SimResult,
-    TripRecord,
-    VehicleStats,
-)
+from uamsim.simulate import REPOSITION, REVENUE, SimConfig, TripRecord
 
 
 class VehicleState(Enum):
@@ -35,7 +29,7 @@ class VehicleState(Enum):
 
 
 class _Vehicle:
-    """Mutable in-sim agent; collapsed into a VehicleStats snapshot at the end.
+    """Mutable in-sim agent; collapsed into a vehicle ledger row at the end.
 
     Attributes:
         location: node id when on the ground, unchanged while airborne.
@@ -255,7 +249,7 @@ class Simulation:
 
     # -- loop ---------------------------------------------------------------
 
-    def run(self) -> SimResult:
+    def run(self) -> dict:
         while self.minute < self.cfg.t_sim:
             m = self.minute
             self.fire_transitions(m)
@@ -265,9 +259,10 @@ class Simulation:
             self.minute = m + 1
         return self._finalize()
 
-    def _finalize(self) -> SimResult:
+    def _finalize(self) -> dict:
+        """The run in ``SimResult.to_dict()``'s shape, from this engine's ledgers."""
         t_end = self.cfg.t_sim
-        stats = []
+        vehicles = []
         for v in self.vehicles:
             if v.state is VehicleState.IDLE:
                 v.idle_min += t_end - v.idle_since
@@ -283,42 +278,26 @@ class Simulation:
                 else:
                     v.reposition_air_min += air_part
             airborne = v.state in (VehicleState.FLYING, VehicleState.REPOSITIONING)
-            stats.append(
-                VehicleStats(
-                    vehicle_id=v.id,
-                    revenue_air_min=v.revenue_air_min,
-                    reposition_air_min=v.reposition_air_min,
-                    buffer_min=v.buffer_min,
-                    charge_min=v.charge_min,
-                    idle_min=v.idle_min,
-                    end_state=v.state.value,
-                    end_location=None if airborne else v.location,
-                )
-            )
-        outcomes = tuple(
-            RiderOutcome(
-                rider_id=r.rider_id,
-                origin=r.origin,
-                dest=r.dest,
-                arrival_min=r.arrival_min,
-                board_min=self.board_min.get(r.rider_id),
-                dropoff_min=self.dropoff_min.get(r.rider_id),
-            )
+            vehicles.append([
+                v.id, v.revenue_air_min, v.reposition_air_min, v.buffer_min, v.charge_min,
+                v.idle_min, v.state.value, None if airborne else v.location,
+            ])
+        riders = [
+            [r.rider_id, r.origin, r.dest, r.arrival_min,
+             self.board_min.get(r.rider_id), self.dropoff_min.get(r.rider_id)]
             for r in self.all_riders
-        )
-        onboard_at_end = sum(len(v.onboard) for v in self.vehicles)
-        return SimResult(
-            config=self.cfg,
-            trips=tuple(self.trips),
-            riders=outcomes,
-            vehicles=tuple(stats),
-            generated=len(self.all_riders),
-            served=len(self.dropoff_min),
-            onboard_at_end=onboard_at_end,
-            unserved=len(self.waiting),
-        )
+        ]
+        return {
+            "generated": len(self.all_riders),
+            "served": len(self.dropoff_min),
+            "onboard_at_end": sum(len(v.onboard) for v in self.vehicles),
+            "unserved": len(self.waiting),
+            "trips": [[*t[:-1], list(t.rider_ids)] for t in self.trips],
+            "riders": riders,
+            "vehicles": vehicles,
+        }
 
 
-def run_simulation(cfg: SimConfig) -> SimResult:
-    """Execute one full run of the seed engine."""
+def run_simulation(cfg: SimConfig) -> dict:
+    """Execute one full run of the seed engine; the result in ``to_dict()``'s shape."""
     return Simulation(cfg).run()

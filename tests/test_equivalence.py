@@ -85,7 +85,8 @@ def run_every_phase_every_minute(cfg: SimConfig):
         sim.inject(minute)
         sim.dispatch_step(minute)
         sim.reposition_idle(minute)
-    return sim._finalize()
+    sim.minute = cfg.t_sim  # run() from the horizon only reads the result
+    return sim.run()
 
 
 @pytest.mark.parametrize("case", range(CORPUS_SIZE))

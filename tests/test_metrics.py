@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,11 @@ from uamsim import (
     CostParams,
     DemandRates,
     MetricsError,
+    RiderRequest,
     SimConfig,
     TripRecord,
     ValidationError,
     VehicleSpec,
-    VehicleStats,
     check_wait_target,
     compute_metrics,
     effective_cost_car,
@@ -91,31 +91,43 @@ def test_wait_target_boundary():
 
 # -- utilization ------------------------------------------------------------------
 
-def _result_with_vehicle_minutes(net, spec, rev, repo, buf, chg, idle, t_sim=1200, trips=()):
-    """A one-aircraft day with the given bucket minutes and trip log."""
+def _one_aircraft_day(net, spec, legs, t_sim=1200):
+    """A one-aircraft day that flew the hand-written ``legs``; each rider
+    arrived at its leg's take-off and rider ids run from 0."""
     rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=t_sim)
-    stats = VehicleStats(0, rev, repo, buf, chg, idle, "idle", 0)
-    return SimResult(
-        config=cfg, trips=trips, riders=(), vehicles=(stats,),
-        generated=0, served=0, onboard_at_end=0, unserved=0,
-    )
+    stream = sorted(RiderRequest(rid, leg.origin, leg.dest, leg.depart_min)
+                    for leg in legs for rid in leg.rider_ids)
+    last = legs[-1] if legs else TripRecord(0, REVENUE, 0, 0, 0, 0, ())
+    return SimResult(config=cfg, stream=stream, trips=tuple(legs), last_legs=(last,), unserved=0)
+
+
+def _revenue_leg(spec, air_min, depart=0, riders=(0,)):
+    return TripRecord(0, REVENUE, 0, 1, depart, depart + spec.buffer_min + air_min, riders)
 
 
 def test_air_utilization_half(net, spec):
-    result = _result_with_vehicle_minutes(net, spec, 600, 0, 0, 0, 600)
+    result = _one_aircraft_day(net, spec, [_revenue_leg(spec, 600)])
     assert compute_metrics(result).u_air == 0.5
 
 
 def test_idle_fleet_zero_utilization(net, spec):
-    report = compute_metrics(_result_with_vehicle_minutes(net, spec, 0, 0, 0, 0, 1200))
+    report = compute_metrics(_one_aircraft_day(net, spec, []))
     assert report.u_air == 0.0
     assert report.u_air_incl_reposition == 0.0
     assert report.u_cycle == 0.0
 
 
 def test_busy_every_minute_is_full_cycle(net, spec):
-    report = compute_metrics(_result_with_vehicle_minutes(net, spec, 500, 200, 250, 250, 0))
+    # 125 minutes of buffer and of charge after each leg: 500 revenue air
+    # minutes, then 200 reposition air minutes, end at 1200
+    long_stops = replace(spec, buffer_min=125, turnaround_min=125)
+    legs = [_revenue_leg(long_stops, 500), TripRecord(0, REPOSITION, 1, 0, 750, 1075, ())]
+    result = _one_aircraft_day(net, long_stops, legs)
+    (v,) = result.vehicles
+    assert (v.revenue_air_min, v.reposition_air_min, v.buffer_min, v.charge_min, v.idle_min) == (
+        500, 200, 250, 250, 0)
+    report = compute_metrics(result)
     assert report.u_cycle == 1.0
     assert report.u_air == pytest.approx(500 / 1200)
     assert report.u_air_incl_reposition == pytest.approx(700 / 1200)
@@ -128,7 +140,7 @@ def test_utilization_band_classification(net, spec):
     # both band edges are in band: 720 and 840 of 1200 minutes
     for rev, band in [(480, "under_utilized"), (720, "in_band"), (780, "in_band"),
                       (840, "in_band"), (1030, "overstressed")]:
-        report = compute_metrics(_result_with_vehicle_minutes(net, spec, rev, 0, 0, 0, 1200 - rev))
+        report = compute_metrics(_one_aircraft_day(net, spec, [_revenue_leg(spec, rev)]))
         assert (report.u_air_band, report.u_air_ok) == (band, band == "in_band"), rev
 
 
@@ -165,14 +177,14 @@ def test_throughput_counts_dropoffs_per_pair(net, spec, baseline_rates):
 
 def test_load_factor(net, spec):
     def load(trips):
-        return compute_metrics(_result_with_vehicle_minutes(net, spec, 0, 0, 0, 0, 1200, trips=trips))
+        return compute_metrics(_one_aircraft_day(net, spec, trips))
 
     trips = tuple(
-        TripRecord(0, REVENUE, 0, 1, m, m + 10, tuple(range(3)))
+        TripRecord(0, REVENUE, 0, 1, m, m + 10, tuple(range(m // 20 * 3, m // 20 * 3 + 3)))
         for m in range(0, 40, 20)
     )
     assert load(trips).load_factor == 0.75
-    solo = (TripRecord(0, REVENUE, 0, 1, 0, 10, (1,)),)
+    solo = (TripRecord(0, REVENUE, 0, 1, 0, 10, (0,)),)
     assert load(solo).load_factor == 0.25
     assert load(trips).load_ok and not load(solo).load_ok
     # a reposition leg carries no seats: with no revenue leg the factor is 0.0
@@ -334,8 +346,6 @@ def test_refine_fleet_runs_a_size_only_when_its_row_is_read(net, spec, baseline_
 
 
 def test_sweep_row_is_the_seed_mean_of_each_report_field(net, spec, baseline_rates):
-    from dataclasses import replace
-
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=1, t_sim=300, seed=7)
     (row,) = refine_fleet(cfg, seeds=3, n_min=6, n_max=6)
     reports = [compute_metrics(run_simulation(replace(cfg, fleet=6, seed=7 + k))) for k in range(3)]

@@ -122,3 +122,15 @@ def test_report_equals_its_recomputation_from_the_csv_files(cfg):
         want["generated"], want["report"]["served"], want["report"]["unserved"],
         want["report"]["onboard_at_end"])
     assert throughput_matrix(result).tolist() == want["throughput"]
+
+
+def test_the_outputs_of_simulate_build_no_rider_or_vehicle_records(tmp_path):
+    # simulate's outputs read the trip log: no RiderOutcome or VehicleStats
+    result = run_simulation(FIXED_WORLDS["backlogged fleet"])
+    compute_metrics(result)
+    throughput_matrix(result)
+    write_riders_csv(result, tmp_path / "riders.csv")
+    write_waits_csv(result.waits, tmp_path / "waits.csv")
+    assert "riders" not in vars(result) and "vehicles" not in vars(result)
+    # a read builds them once and keeps them
+    assert result.riders is result.riders and "riders" in vars(result)

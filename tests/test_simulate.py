@@ -74,6 +74,12 @@ def test_zero_demand_everyone_idles(net, spec):
         assert v.revenue_air_min == v.reposition_air_min == v.buffer_min == v.charge_min == 0
 
 
+def test_an_aircraft_that_never_flies_is_idle_on_a_day_shorter_than_a_turnaround(net, spec):
+    cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=spec.turnaround_min - 1)
+    for v in run_simulation(cfg).vehicles:
+        assert (v.end_state, v.idle_min, v.end_location) == ("idle", cfg.t_sim, v.vehicle_id)
+
+
 def test_single_rider_trace(net, spec):
     # SFO -> SJC: air = ceil(12.08) = 13, so flying 5 + 13 = 18 minutes,
     # then a 10-minute charge before going idle
