@@ -90,11 +90,11 @@ def throughput_matrix(result: SimResult) -> np.ndarray:
     horizon adds its rider count to its own pair.
     """
     n, t_end = result.config.net.n, result.config.t_sim
-    landed = [(leg.origin * n + leg.dest, len(leg.rider_ids))
-              for leg in result.trips if leg.arrive_min < t_end]
-    pairs, riders = np.array(landed, dtype=np.int64).reshape(-1, 2).T
-    # the float sums of integer weights are exact far beyond any rider count
-    return np.bincount(pairs, weights=riders, minlength=n * n).astype(np.int64).reshape(n, n)
+    served = [0] * (n * n)
+    for leg in result.trips:
+        if leg.arrive_min < t_end:
+            served[leg.origin * n + leg.dest] += len(leg.rider_ids)
+    return np.array(served, dtype=np.int64).reshape(n, n)
 
 
 def compute_metrics(result: SimResult) -> MetricsReport:
