@@ -102,8 +102,9 @@ def _one_aircraft_day(net, spec, legs, t_sim=1200):
     return SimResult(config=cfg, stream=stream, trips=tuple(legs), last_legs=(last,), unserved=0)
 
 
-def _revenue_leg(spec, air_min, depart=0, riders=(0,)):
-    return TripRecord(0, REVENUE, 0, 1, depart, depart + spec.buffer_min + air_min, riders)
+def _revenue_leg(spec, air_min):
+    """Rider 0's leg, taking off at minute 0 with ``air_min`` airborne minutes."""
+    return TripRecord(0, REVENUE, 0, 1, 0, spec.buffer_min + air_min, (0,))
 
 
 def test_air_utilization_half(net, spec):
@@ -179,10 +180,8 @@ def test_load_factor(net, spec):
     def load(trips):
         return compute_metrics(_one_aircraft_day(net, spec, trips))
 
-    trips = tuple(
-        TripRecord(0, REVENUE, 0, 1, m, m + 10, tuple(range(m // 20 * 3, m // 20 * 3 + 3)))
-        for m in range(0, 40, 20)
-    )
+    trips = (TripRecord(0, REVENUE, 0, 1, 0, 10, (0, 1, 2)),
+             TripRecord(0, REVENUE, 0, 1, 20, 30, (3, 4, 5)))
     assert load(trips).load_factor == 0.75
     solo = (TripRecord(0, REVENUE, 0, 1, 0, 10, (0,)),)
     assert load(solo).load_factor == 0.25

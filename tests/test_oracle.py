@@ -5,8 +5,8 @@ the seed engine writes its own rider and vehicle ledgers in
 ``SimResult.to_dict()``'s shape.  So equality on a drawn world shows that
 the engine's design (heaps, pair queues, legs booked at take-off, skipped
 minutes, the horizon clamp read from the trip log) still computes what the
-seed's state machine did.  Worlds
-are drawn with a fixed Hypothesis seed, so every run checks the same ones.
+seed's state machine did.  Worlds are drawn with a fixed Hypothesis seed,
+so every run checks the same ones.
 """
 
 from __future__ import annotations
