@@ -63,18 +63,6 @@ _FLAGS = {
     "--n-max": dict(type=int, default=40, help="largest fleet size (default 40)"),
 }
 
-# each command with its help and the flags it reads besides --config
-_COMMAND_FLAGS = {
-    "distances": ("print distance/air-time/feasibility matrices", ()),
-    "demand": ("print arrival-rate matrix and expected arrivals", ("--minutes",)),
-    "size-fleet": ("print the analytical sizing report as JSON", ("--alpha",)),
-    "simulate": ("run one simulation and write report/log files",
-                 ("--out", "--seed", "--minutes", "--fleet", "--alpha", "--seeds")),
-    "compare": ("door-to-door cost/time table vs driving", ("--wait",)),
-    "sweep": ("sweep fleet sizes and pick the smallest passing one",
-              ("--out", "--seed", "--minutes", "--seeds", "--n-min", "--n-max")),
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -82,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Air-taxi network simulator: demand, fleet sizing, dispatch, and costs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+    for command, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON document")
         for flag in flags:
@@ -116,52 +104,45 @@ def _sim_config(cfg: ScenarioConfig, net, rates, fleet: int) -> SimConfig:
                      t_sim=cfg.t_sim_min)
 
 
-def _matrix_lines(matrix, codes, fmt) -> list[str]:
+def _matrix(matrix, codes, fmt) -> str:
     cells = [[fmt(x) for x in row] for row in matrix]
     width = max(
         max(len(c) for c in codes) + 1,
         max(len(s) for row in cells for s in row) + 2,
     )
     head = " " * width + "".join(f"{c:>{width}}" for c in codes)
-    lines = [head]
-    for code, row in zip(codes, cells):
-        lines.append(f"{code:<{width}}" + "".join(f"{s:>{width}}" for s in row))
-    return lines
+    return "\n".join([head, *(f"{code:<{width}}" + "".join(f"{s:>{width}}" for s in row)
+                              for code, row in zip(codes, cells))])
 
 
-def cmd_distances(args) -> int:
-    cfg = _load(args)
+def cmd_distances(cfg: ScenarioConfig, args) -> int:
     _, net, _, _ = build_world(cfg)
-    print("Great-circle distances (mi):")
-    print("\n".join(_matrix_lines(net.dist, net.codes, lambda x: f"{x:.3f}")))
-    print("\nFlight times (min):")
-    print("\n".join(_matrix_lines(net.air_time, net.codes, lambda x: f"{x:.3f}")))
-    print("\nFeasible (leg within range):")
-    print("\n".join(_matrix_lines(net.feasible, net.codes, lambda x: "yes" if x else "no")))
+    print("\n\n".join(f"{title}:\n" + _matrix(matrix, net.codes, fmt) for title, matrix, fmt in (
+        ("Great-circle distances (mi)", net.dist, "{:.3f}".format),
+        ("Flight times (min)", net.air_time, "{:.3f}".format),
+        ("Feasible (leg within range)", net.feasible, lambda x: "yes" if x else "no"),
+    )))
     return EXIT_OK
 
 
-def cmd_demand(args) -> int:
-    cfg = _load(args)
+def cmd_demand(cfg: ScenarioConfig, args) -> int:
     _, net, od, rates = build_world(cfg)
     print(f"Monthly passengers: {od.total_monthly}")
     print("Arrival rates (pax/min):")
-    print("\n".join(_matrix_lines(rates.per_min, net.codes, lambda x: f"{x:.6f}")))
+    print(_matrix(rates.per_min, net.codes, "{:.6f}".format))
     print(f"\nTotal arrival rate: {rates.total_rate:.6f} pax/min")
     print(f"Expected arrivals over {cfg.t_sim_min} min: {expected_arrivals(rates, cfg.t_sim_min):.3f}")
     return EXIT_OK
 
 
-def cmd_size_fleet(args) -> int:
-    cfg = _load(args)
+def cmd_size_fleet(cfg: ScenarioConfig, args) -> int:
     _, net, _, rates = build_world(cfg)
     report = size_fleet(net, cfg.vehicle, rates, alpha=cfg.alpha, pooling_q=cfg.pooling_q)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(cfg: ScenarioConfig, args) -> int:
     _, net, od, rates = build_world(cfg)
     out = _out_dir(args)
     sizing = size_fleet(net, cfg.vehicle, rates, alpha=cfg.alpha, pooling_q=cfg.pooling_q)
@@ -217,8 +198,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = _load(args)
+def cmd_compare(cfg: ScenarioConfig, args) -> int:
     if cfg.cost is None:
         raise ValidationError("compare needs a 'cost' section in the scenario config")
     _, net, _, _ = build_world(cfg)
@@ -249,8 +229,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
+def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     _, net, _, rates = build_world(cfg)
     out = _out_dir(args)
     n_min, n_max = args.n_min, args.n_max
@@ -272,13 +251,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# each command: its handler, its help and the flags it reads besides --config
 _COMMANDS = {
-    "distances": cmd_distances,
-    "demand": cmd_demand,
-    "size-fleet": cmd_size_fleet,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "sweep": cmd_sweep,
+    "distances": (cmd_distances, "print distance/air-time/feasibility matrices", ()),
+    "demand": (cmd_demand, "print arrival-rate matrix and expected arrivals", ("--minutes",)),
+    "size-fleet": (cmd_size_fleet, "print the analytical sizing report as JSON", ("--alpha",)),
+    "simulate": (cmd_simulate, "run one simulation and write report/log files",
+                 ("--out", "--seed", "--minutes", "--fleet", "--alpha", "--seeds")),
+    "compare": (cmd_compare, "door-to-door cost/time table vs driving", ("--wait",)),
+    "sweep": (cmd_sweep, "sweep fleet sizes and pick the smallest passing one",
+              ("--out", "--seed", "--minutes", "--seeds", "--n-min", "--n-max")),
 }
 
 
@@ -303,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         with _gc_paused():
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][0](_load(args), args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -129,25 +129,22 @@ def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
     """Read an ``od.csv`` file (header ``origin,dest,monthly_pax``).
 
     Unlisted pairs default to zero; repeated pairs accumulate, matching how
-    market datasets report one row per carrier.  Rows with more cells than
-    the header, referencing codes not in the network, negative counts,
-    origin == dest, or a pair total beyond int64 are rejected with the
-    offending line number in the message.
+    market datasets report one row per carrier.  Rows referencing codes
+    not in the network, negative counts, origin == dest, or a pair total
+    beyond int64 are rejected with the offending line number in the message.
     """
     path = Path(path)
     index = {node.code: node.id for node in net.nodes}
     counts = np.zeros((net.n, net.n), dtype=np.int64)
-    for lineno, row in _read_csv(path, "OD", ["origin", "dest", "monthly_pax"]):
-        origin = (row["origin"] or "").strip()
-        dest = (row["dest"] or "").strip()
+    for lineno, (origin, dest, monthly_pax) in _read_csv(path, "OD", ["origin", "dest", "monthly_pax"]):
         if origin not in index:
             raise IngestionError(f"{path}:{lineno}: unknown origin code {origin!r}")
         if dest not in index:
             raise IngestionError(f"{path}:{lineno}: unknown destination code {dest!r}")
         try:
-            pax = int(row["monthly_pax"])
-        except (TypeError, ValueError) as exc:
-            raise IngestionError(f"{path}:{lineno}: bad passenger count {row['monthly_pax']!r}") from exc
+            pax = int(monthly_pax)
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: bad passenger count {monthly_pax!r}") from exc
         if pax < 0:
             raise IngestionError(f"{path}:{lineno}: negative passenger count {pax}")
         if origin == dest and pax > 0:

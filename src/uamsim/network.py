@@ -113,7 +113,9 @@ def build_network(nodes: list[GeoNode], spec: VehicleSpec) -> RouteNetwork:
         A RouteNetwork with miles, minutes, and feasibility per ordered pair.
 
     Raises:
-        ConfigError: empty node list, duplicate codes, or non-contiguous ids.
+        ConfigError: empty node list, duplicate codes, non-contiguous ids,
+            or a flight time beyond the float range (a cruise speed so
+            slow that a leg takes infinite minutes).
     """
     if not nodes:
         raise ConfigError("network needs at least one node")
@@ -133,37 +135,45 @@ def build_network(nodes: list[GeoNode], spec: VehicleSpec) -> RouteNetwork:
             dist[i, j] = d
             dist[j, i] = d
 
-    air_time = 60.0 * dist / spec.cruise_speed_mph
+    with np.errstate(over="ignore"):  # refused below, with a pair named
+        air_time = 60.0 * dist / spec.cruise_speed_mph
+    if not np.isfinite(air_time).all():
+        i, j = np.argwhere(~np.isfinite(air_time))[0].tolist()
+        raise ConfigError(f"flight time {ordered[i].code}->{ordered[j].code} is not finite at "
+                          f"cruise_speed_mph {spec.cruise_speed_mph}")
     feasible = dist <= spec.max_range_mi
     np.fill_diagonal(feasible, False)
     return RouteNetwork(nodes=ordered, dist=dist, air_time=air_time, feasible=feasible)
 
 
-def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, dict]]:
-    """Yield the rows of a CSV file with header ``header``, each with its line number.
+def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-blank row of a CSV file with header ``header``: its
+    line number and its cells, stripped of surrounding spaces.
 
     ``what`` names the file when it is missing.  A header other than
-    ``header``, a row with more cells than the header, bytes that are not
-    UTF-8 and a line ``csv`` cannot parse are refused, the last two naming
-    their line where it is known.  Parsing is strict, so a quote left open
-    at the end of the file or text after a closing quote is an error.
+    ``header`` once its names are stripped, a row with more or fewer cells
+    than the header, bytes that are not UTF-8 and a line ``csv`` cannot
+    parse are refused, the last three naming their line where it is known.
+    Parsing is strict, so a quote left open at the end of the file or text
+    after a closing quote is an error.
     """
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, strict=True)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
-                raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {reader.fieldnames}")
-            for row in reader:
-                if None in row:  # DictReader files the cells beyond the header under None
-                    cells = len(header) + len(row[None])
-                    raise IngestionError(f"{path}:{reader.line_num}: {cells} cells, but the header has {len(header)}")
-                yield reader.line_num, row
+            reader = csv.reader(fh, strict=True)
+            names = next(reader, None)
+            if names is None or [name.strip() for name in names] != header:
+                raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {names}")
+            for row in filter(None, reader):  # a blank line reads as no cells
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}:{reader.line_num}: {len(row)} cells, but the header has {len(header)}")
+                yield reader.line_num, [cell.strip() for cell in row]
     except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})") from None
-    except csv.Error as exc:  # DictReader's line_num lags behind at an error; its reader's does not
-        raise IngestionError(f"{path}:{reader.reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
@@ -217,24 +227,16 @@ def _check_fields(obj) -> None:
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:
     """Read a ``nodes.csv`` file (header ``id,code,lat,lon``) into GeoNodes.
 
-    A row with more cells than the header is rejected with its line number.
     ``build_network`` checks that the ids are contiguous and the codes
     unique.
     """
     path = Path(path)
     nodes: list[GeoNode] = []
-    for lineno, row in _read_csv(path, "nodes", ["id", "code", "lat", "lon"]):
+    for lineno, (node_id, code, lat, lon) in _read_csv(path, "nodes", ["id", "code", "lat", "lon"]):
         try:
-            nodes.append(
-                GeoNode(
-                    id=int(row["id"]),
-                    code=(row["code"] or "").strip(),
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise IngestionError(f"{path}:{lineno}: bad node row {row}: {exc}") from exc
+            nodes.append(GeoNode(id=int(node_id), code=code, lat=float(lat), lon=float(lon)))
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: bad node row: {exc}") from exc
     if not nodes:
         raise IngestionError(f"{path}: no node rows")
     return sorted(nodes, key=lambda node: node.id)

@@ -326,8 +326,9 @@ class Simulation:
         self.capacity = cfg.spec.capacity
         self.buffer = cfg.spec.buffer_min
         self.turnaround = cfg.turnaround
-        # integer airborne minutes per ordered pair
-        self.air_min = np.ceil(cfg.net.air_time).astype(int).tolist()
+        # integer airborne minutes per ordered pair, as Python ints: a leg
+        # longer than int64 minutes stays aloft past the horizon, not wrapped
+        self.air_min = [list(map(int, row)) for row in np.ceil(cfg.net.air_time).tolist()]
         self.feasible = cfg.net.feasible.tolist()
         # node visit orders, nearest first for the idle search and by
         # descending origin rate for repositioning; lowest id breaks ties

@@ -57,6 +57,22 @@ def test_demand_expectation_scales_with_horizon(scenario_dir, capsys):
     assert "30.960" in out    # expectation scales linearly: 0.516 * 60
 
 
+@pytest.mark.parametrize("command", ["distances", "demand"])
+def test_spaces_around_header_names_and_cells_are_ignored(scenario_dir, capsys, command):
+    # "id, code, lat, lon" passed the header check, then distances and
+    # demand died with KeyError: 'code' (exit 1)
+    config = scenario_dir / "config.json"
+    assert run_cli(command, "--config", config) == EXIT_OK
+    shipped = capsys.readouterr().out
+    for name in ("nodes.csv", "od.csv"):
+        path = scenario_dir / name
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f" {', '.join(line.split(','))} \n" for line in lines))
+    assert (scenario_dir / "od.csv").read_text().startswith(" origin, dest, monthly_pax \n SFO, OAK, 1300 \n")
+    assert run_cli(command, "--config", config) == EXIT_OK
+    assert capsys.readouterr().out == shipped
+
+
 def test_missing_nodes_file_exits_2(scenario_dir, capsys):
     (scenario_dir / "nodes.csv").unlink()
     assert run_cli("distances", "--config", scenario_dir / "config.json") == EXIT_CONFIG
@@ -412,6 +428,22 @@ def test_unknown_key_exits_2(scenario_dir, tmp_path, capsys, field, value):
     assert f"unknown {section or 'config'} keys ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "size-fleet", "sweep"])
+def test_infinite_flight_time_exits_2(scenario_dir, tmp_path, capsys, command):
+    # was exit 1 with a ZeroDivisionError from size-fleet and simulate, and
+    # exit 0 from sweep, naming fleet 1
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["vehicle"]["cruise_speed_mph"] = 1e-308
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    argv = [command, "--config", scenario_dir / "config.json"]
+    if command != "size-fleet":
+        argv += ["--out", tmp_path / "out", "--minutes", "60"]
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: flight time SFO->OAK is not finite at cruise_speed_mph 1e-308\n"
+    assert captured.out == ""
+
+
 # one hot pair at the default 30 days x 20 h: 708.389/min, then 708.417/min
 # against the bound -ln(smallest normal float) = 708.3964/min
 @pytest.mark.parametrize("monthly_pax, code", [(25_502_000, EXIT_OK), (25_503_000, EXIT_CONFIG)])
@@ -450,6 +482,10 @@ def test_od_pair_total_beyond_int64_exits_2(scenario_dir, capsys, rows, line, to
     # "1,300" typed with a comma read as 1 passenger, and demand exited 0
     ("od.csv", 2, "SFO,OAK,1,300", "od.csv:2: 4 cells, but the header has 3"),
     ("nodes.csv", 3, "1,OAK,37.7213,-122.2210,x", "nodes.csv:3: 5 cells, but the header has 4"),
+    # fewer cells are refused the same way; a short row was read with None
+    # for each missing cell, and named a bad count or bad node row "None"
+    ("od.csv", 2, "SFO,OAK", "od.csv:2: 2 cells, but the header has 3"),
+    ("nodes.csv", 3, "1,OAK,37.7213", "nodes.csv:3: 3 cells, but the header has 4"),
 ])
 def test_row_with_more_cells_than_the_header_exits_2(scenario_dir, capsys, name, line, row, message):
     path = scenario_dir / name
@@ -596,11 +632,12 @@ def test_main_leaves_gc_as_it_found_it(scenario_dir, tmp_path, enabled, argv, mi
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_main_leaves_gc_as_it_found_it_when_a_command_raises(scenario_dir, monkeypatch, enabled):
-    def broken(args):
+    def broken(cfg, args):
         assert not gc.isenabled()  # the command runs with the collector paused
         raise RuntimeError("broken command")
 
-    monkeypatch.setitem(cli._COMMANDS, "distances", broken)
+    _, help_text, flags = cli._COMMANDS["distances"]
+    monkeypatch.setitem(cli._COMMANDS, "distances", (broken, help_text, flags))
     with gc_state(enabled):
         with pytest.raises(RuntimeError, match="broken command"):
             run_cli("distances", "--config", scenario_dir / "config.json")

@@ -132,6 +132,13 @@ def test_doubling_speed_halves_air_time(bay_nodes, spec, net):
     assert np.allclose(net_fast.air_time[off], net.air_time[off] / 2.0)
 
 
+def test_infinite_flight_time_rejected(bay_nodes):
+    # a positive, finite speed so slow that 60 * miles / speed overflows:
+    # size-fleet then died with a ZeroDivisionError and sweep named fleet 1
+    with pytest.raises(ConfigError, match="flight time SFO->OAK is not finite at cruise_speed_mph 1e-308"):
+        build_network(bay_nodes, VehicleSpec(cruise_speed_mph=1e-308))
+
+
 def test_vehicle_spec_validation():
     with pytest.raises(ValidationError):
         VehicleSpec(cruise_speed_mph=0.0)

@@ -202,6 +202,18 @@ def test_summoned_leg_airborne_at_horizon_reports_repositioning(net, spec, t_sim
     assert result.onboard_at_end == 0 and result.unserved == 1
 
 
+def test_leg_longer_than_int64_minutes_stays_aloft(bay_nodes, baseline_rates):
+    # at 1e-20 mph a leg takes ~1e23 minutes; the int64 ceil wrapped it to a
+    # landing near minute -2**63, and the day ran on with u_air -3.8e16
+    spec = VehicleSpec(cruise_speed_mph=1e-20)
+    cfg = SimConfig(net=build_network(bay_nodes, spec), spec=spec, rates=baseline_rates, fleet=4, t_sim=120)
+    result = run_simulation(cfg)
+    assert len(result.trips) == 4 and all(leg.arrive_min > 2**63 for leg in result.trips)
+    assert [v.end_state for v in result.vehicles] == ["flying", "repositioning", "repositioning", "flying"]
+    assert [v.revenue_air_min + v.reposition_air_min for v in result.vehicles] == [113, 109, 109, 110]
+    assert (result.generated, result.served, result.onboard_at_end, result.unserved) == (55, 0, 3, 52)
+
+
 def test_records_are_immutable(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=40,
                     initial_placement="node:0")
