@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from itertools import starmap
+from operator import countOf, itemgetter, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,7 +23,7 @@ from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
 from .network import _write_csv
-from .simulate import REPOSITION, REVENUE, SimConfig, SimResult, run_simulation
+from .simulate import REPOSITION, REVENUE, SimConfig, SimResult, TripRecord, _rider_ids, run_simulation
 
 WAIT_TARGET_MIN = 10.0
 U_AIR_BAND = (0.60, 0.70)
@@ -91,27 +93,48 @@ def throughput_matrix(result: SimResult) -> np.ndarray:
     """
     n, t_end = result.config.net.n, result.config.t_sim
     served = [0] * (n * n)
-    for leg in result.trips:
-        if leg.arrive_min < t_end:
-            served[leg.origin * n + leg.dest] += len(leg.rider_ids)
+    for _, _, origin, dest, _, arrive, rider_ids in filter(_rider_ids, result.trips):
+        if arrive < t_end:
+            served[origin * n + dest] += len(rider_ids)
     return np.array(served, dtype=np.int64).reshape(n, n)
+
+
+_LANDING_AND_TAKEOFF = itemgetter(5, 4)
+
+
+def _flown(legs: Iterable[TripRecord]) -> int:
+    """The sum of ``arrive_min - depart_min`` over ``legs``, taken in C."""
+    return sum(starmap(sub, map(_LANDING_AND_TAKEOFF, legs)))
 
 
 def compute_metrics(result: SimResult) -> MetricsReport:
     """Assemble the full report; degenerate zero-demand runs score all zeros.
 
-    One pass over the trip log sums each leg's minutes before the horizon
-    (``SimConfig.clamped_minutes``) and the riders seated on revenue legs.
+    Whole legs are summed in C: each books its buffer, its ``arrive_min -
+    depart_min - buffer`` air minutes in the bucket of its kind and the
+    turnaround after that kind.  Only revenue legs carry riders, and each
+    carries some.  Only an aircraft's last leg can cross the horizon, so
+    the last legs whose landing plus charge passes ``t_sim`` then swap
+    their whole minutes for ``SimConfig.clamped_minutes``.  An aircraft
+    that never flew has a placeholder last leg (``arrive_min`` 0) that is
+    not in the log, so it is left out.
     """
     mean_wait, p95 = wait_stats(result.waits) if result.waits else (0.0, 0.0)
-    cfg = result.config
-    air = {REVENUE: 0, REPOSITION: 0}
-    ground = revenue_legs = seated = 0
-    for leg, (buffer, minutes, charge) in zip(result.trips, cfg.clamped_minutes(result.trips)):
-        air[leg.kind] += minutes
-        ground += buffer + charge
-        revenue_legs += leg.kind == REVENUE
-        seated += len(leg.rider_ids)  # only revenue legs carry riders
+    cfg, legs = result.config, result.trips
+    t_end, buffer, turnaround = cfg.t_sim, cfg.spec.buffer_min, cfg.turnaround
+    reposition_legs = countOf(map(_rider_ids, legs), ())
+    revenue_legs = len(legs) - reposition_legs
+    seated = sum(map(len, map(_rider_ids, legs)))
+    revenue_flown = _flown(filter(_rider_ids, legs))
+    air = {REVENUE: revenue_flown - buffer * revenue_legs,
+           REPOSITION: _flown(legs) - revenue_flown - buffer * reposition_legs}
+    ground = (buffer * len(legs) + turnaround[REVENUE] * revenue_legs
+              + turnaround[REPOSITION] * reposition_legs)
+    cut = [leg for leg in result.last_legs
+           if leg.arrive_min and leg.arrive_min + turnaround[leg.kind] > t_end]
+    for leg, (taxied, flown, charged) in zip(cut, cfg.clamped_minutes(cut)):
+        air[leg.kind] -= leg.arrive_min - leg.depart_min - buffer - flown
+        ground -= buffer + turnaround[leg.kind] - taxied - charged
     revenue, reposition = air[REVENUE], air[REPOSITION]
     total = cfg.fleet * cfg.t_sim
     u_air = revenue / total

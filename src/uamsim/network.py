@@ -150,17 +150,19 @@ def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, l
     """Yield each non-blank row of a CSV file with header ``header``: its
     line number and its cells, stripped of surrounding spaces.
 
-    ``what`` names the file when it is missing.  A header other than
-    ``header`` once its names are stripped, a row with more or fewer cells
-    than the header, bytes that are not UTF-8 and a line ``csv`` cannot
-    parse are refused, the last three naming their line where it is known.
+    ``what`` names the file when it is missing.  A leading UTF-8
+    byte-order mark, as spreadsheet programs write one, is skipped.  A
+    header other than ``header`` once its names are stripped, a row with
+    more or fewer cells than the header, bytes that are not UTF-8 and a
+    line ``csv`` cannot parse are refused, the last three naming their line
+    where it is known.
     Parsing is strict, so a quote left open at the end of the file or text
     after a closing quote is an error.
     """
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
             names = next(reader, None)
             if names is None or [name.strip() for name in names] != header:

@@ -23,6 +23,12 @@ first ``capacity`` riders of its pair's queue, and repositioning reads the
 per-origin counts, so a minute costs time in proportion to the riders
 visited and the legs launched, not to the length of the queue.
 
+The engine holds only live state.  ``summoned`` maps a waiting rider to
+the vehicle it summoned and drops the rider on boarding, so its keys stay
+a subset of ``waiting``.  ``_launch`` takes each leg's ``arrive_min`` from
+``landings``, one int per landing minute of the run, so the legs that
+land in the same minute share one int object instead of holding one each.
+
 Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
 post-reposition charge can be disabled), and every leg flown is checked
@@ -86,7 +92,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -129,6 +135,9 @@ class RiderOutcome(NamedTuple):
 
 
 _new_trip = partial(tuple.__new__, TripRecord)
+# a leg's rider ids; only a revenue leg has any, so filter(_rider_ids, legs)
+# keeps the revenue legs without a Python frame per leg
+_rider_ids = itemgetter(6)
 
 
 class VehicleStats(NamedTuple):
@@ -226,12 +235,13 @@ class SimResult:
         """Each rider's board and dropoff minute, None where it never happened.
 
         A rider boards at its leg's ``depart_min`` and is dropped off at its
-        ``arrive_min``, unless the leg is still aloft at the horizon.
+        ``arrive_min``, unless the leg is still aloft at the horizon.  The
+        riderless legs are skipped in C.
         """
         t_end = self.config.t_sim
         # generate_arrivals numbers riders by their place in the stream
         boards, dropoffs = [None] * len(self.stream), [None] * len(self.stream)
-        for _, _, _, _, depart, arrive, rider_ids in self.trips:
+        for _, _, _, _, depart, arrive, rider_ids in filter(_rider_ids, self.trips):
             landed = arrive if arrive < t_end else None
             for rid in rider_ids:
                 boards[rid] = depart
@@ -366,8 +376,9 @@ class Simulation:
             [deque() for _ in range(n)] for _ in range(n)
         ]
         self.waiting_at = [0] * n
-        self.summoned: dict[int, int] = {}          # rider id -> vehicle id flying to help
+        self.summoned: dict[int, int] = {}          # waiting rider id -> vehicle id flying to help
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
+        self.landings: dict[int, int] = {}          # each arrive_min value, one int object
         self.trips: list[TripRecord] = []
         self.generated_so_far = 0
         self.minute = 0
@@ -416,6 +427,7 @@ class Simulation:
                 self.summoned[rider.rider_id] = self._launch(node, REPOSITION, origin, (), minute)
         for rid in boarded:
             del self.waiting[rid]
+            self.summoned.pop(rid, None)
 
     def reposition_idle(self, minute: int) -> None:
         if not self.cfg.reposition_enabled or self.idle_count == 0 or not self.waiting:
@@ -463,6 +475,7 @@ class Simulation:
         vid = heappop(self.idle_at[origin])
         self.idle_count -= 1
         arrive_min = minute + self.buffer + self.air_min[origin][dest]
+        arrive_min = self.landings.setdefault(arrive_min, arrive_min)
         self.due.setdefault(arrive_min + self.turnaround[kind], []).append(vid)
         self.last_leg[vid] = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
         self.trips.append(leg)

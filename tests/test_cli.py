@@ -73,6 +73,20 @@ def test_spaces_around_header_names_and_cells_are_ignored(scenario_dir, capsys, 
     assert capsys.readouterr().out == shipped
 
 
+@pytest.mark.parametrize("command", ["distances", "demand"])
+def test_a_leading_byte_order_mark_is_skipped(scenario_dir, capsys, command):
+    # spreadsheet programs save UTF-8 CSV with a byte-order mark; it was
+    # read as part of the first header name, and both commands exited 2
+    config = scenario_dir / "config.json"
+    assert run_cli(command, "--config", config) == EXIT_OK
+    shipped = capsys.readouterr().out
+    for name in ("nodes.csv", "od.csv"):
+        path = scenario_dir / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(command, "--config", config) == EXIT_OK
+    assert capsys.readouterr().out == shipped
+
+
 def test_missing_nodes_file_exits_2(scenario_dir, capsys):
     (scenario_dir / "nodes.csv").unlink()
     assert run_cli("distances", "--config", scenario_dir / "config.json") == EXIT_CONFIG

@@ -607,6 +607,29 @@ def test_queues_match_waiting_every_minute(net, spec, baseline_rates, case):
         assert len(sim.waiting) > 1000
 
 
+@pytest.mark.parametrize("fleet", [60, 400])
+def test_only_waiting_riders_keep_a_summons(fleet):
+    # a boarded rider's summons was kept to the end of the day: on the
+    # benchmark's 1600-aircraft stress day, 27,343 entries for 57 riders
+    cfg = backlog_config(seed=5, fleet=fleet, t_sim=150)
+    sim = Simulation(cfg)
+    summoned = set()
+    while sim.minute < cfg.t_sim:
+        sim.step()
+        assert set(sim.summoned) <= set(sim.waiting)
+        summoned.update(sim.summoned)
+    assert summoned - set(sim.waiting)  # some summoned riders boarded
+
+
+def test_each_landing_minute_is_one_int_object():
+    # legs that land in the same minute share one int, so the log holds one
+    # object per distinct arrive_min; ints above 256 are not cached by Python
+    result = run_simulation(backlog_config(seed=5, fleet=300, t_sim=400))
+    arrivals = [leg.arrive_min for leg in result.trips]
+    assert max(arrivals) > 256 and len(arrivals) > 2 * len(set(arrivals))
+    assert len(set(map(id, arrivals))) == len(set(arrivals))
+
+
 def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
     """``counts()`` agrees with the arrival stream and the trip log every minute.
 
