@@ -11,14 +11,13 @@ its name as a string.
 """
 
 import json
-import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args
 
 from .demand import DemandRates, ODMatrix, compute_rates, load_od_csv
 from .errors import ConfigError
-from .network import (_SCALAR_KINDS, GeoNode, RouteNetwork, VehicleSpec, _check_fields, build_network,
+from .network import (GeoNode, RouteNetwork, VehicleSpec, _check_fields, _read_text, build_network,
                       load_nodes_csv)
 
 
@@ -81,11 +80,9 @@ class ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario JSON document."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on bytes not UTF-8
+        doc = json.loads(_read_text(path, "config"))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -97,7 +94,8 @@ def _from_object(path: Path, cls: type, doc: dict, section: str):
 
     ``section`` names the object in messages ("" for the top level).  A key
     that is no field of ``cls`` is refused, and so is a missing key whose
-    field has no default.
+    field has no default.  ``cls`` checks its own values; its message gains
+    the file and the section.
     """
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
@@ -109,16 +107,18 @@ def _from_object(path: Path, cls: type, doc: dict, section: str):
             values[f.name] = _read(path, key, doc[f.name], f.type)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {section + '.' if section else ''}{exc}") from None
 
 
 def _read(path: Path, key: str, value, hint):
     """The field ``key`` of annotated type ``hint``, read from its JSON value.
 
     ``X | None`` accepts JSON ``null``; a dataclass is read from an object;
-    a ``Path`` from a string, relative to the document's directory.  A
-    bool is accepted only where a bool is asked for (JSON ``true`` is an int
-    to Python), and an integer given for a float field is stored as a float.
+    a ``Path`` from a string, relative to the document's directory.  Any
+    other value is returned as JSON gave it, for the field's owner to check.
     """
     kinds = get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
@@ -129,26 +129,9 @@ def _read(path: Path, key: str, value, hint):
             raise ConfigError(f"{path}: {key} must be a JSON object, got {value!r}")
         return _from_object(path, kind, value, key)
     if kind is Path:
-        rel = Path(_checked(path, key, value, str))
-        return rel if rel.is_absolute() else path.parent / rel
-    return kind(_checked(path, key, value, kind))
-
-
-def _checked(path: Path, key: str, value, kind: type):
-    """``value`` if it is of ``kind``'s JSON type and, for a number, finite.
-
-    Python's json reads ``NaN``, ``Infinity`` and overflowing literals as
-    floats, and integer literals of any length as ints; no field of the
-    model means anything by a number beyond the float range.  These tests
-    repeat ``_check_fields``'s because ``_read`` converts the value before
-    the dataclass sees it: ``float(10**400)`` raises ``OverflowError`` and
-    ``int(2.5)`` is 2.  Here the message names the file and the key.
-    """
-    accepted, name = _SCALAR_KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails the test too
-        raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: {key} must be a string, got {value!r}")
+        return path.parent / value  # an absolute value replaces the directory
     return value
 
 

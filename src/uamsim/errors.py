@@ -10,7 +10,7 @@ class ConfigError(ValidationError):
 
 
 class IngestionError(ValidationError):
-    """Raised when a CSV input file cannot be parsed or cross-referenced."""
+    """Raised when an input file cannot be read, parsed or cross-referenced."""
 
 
 class SizingError(ValidationError):

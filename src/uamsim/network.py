@@ -9,6 +9,7 @@ are built once and never mutated; every function here is pure.
 # annotations are not postponed here: _check_fields and the scenario loader
 # in config.py read each field's type from dataclasses.fields
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -146,34 +147,42 @@ def build_network(nodes: list[GeoNode], spec: VehicleSpec) -> RouteNetwork:
     return RouteNetwork(nodes=ordered, dist=dist, air_time=air_time, feasible=feasible)
 
 
-def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield each non-blank row of a CSV file with header ``header``: its
-    line number and its cells, stripped of surrounding spaces.
+def _read_text(path: Path, what: str) -> str:
+    """The text of the input file ``path``, decoded as UTF-8.
 
     ``what`` names the file when it is missing.  A leading UTF-8
-    byte-order mark, as spreadsheet programs write one, is skipped.  A
-    header other than ``header`` once its names are stripped, a row with
-    more or fewer cells than the header, bytes that are not UTF-8 and a
-    line ``csv`` cannot parse are refused, the last three naming their line
-    where it is known.
-    Parsing is strict, so a quote left open at the end of the file or text
-    after a closing quote is an error.
+    byte-order mark, as spreadsheet programs write one, is skipped, and
+    bytes that are not UTF-8 are refused.  Line endings are kept as they
+    are, for ``csv`` to read.
     """
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, strict=True)
-            names = next(reader, None)
-            if names is None or [name.strip() for name in names] != header:
-                raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {names}")
-            for row in filter(None, reader):  # a blank line reads as no cells
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}:{reader.line_num}: {len(row)} cells, but the header has {len(header)}")
-                yield reader.line_num, [cell.strip() for cell in row]
-    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} 0x{exc.object[exc.start]:02x})") from None
+
+
+def _read_csv(path: Path, what: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-blank row of a CSV file with header ``header``: its
+    line number and its cells, stripped of surrounding spaces.
+
+    The file is read by ``_read_text``.  A header other than ``header``
+    once its names are stripped, a row with more or fewer cells than the
+    header and a line ``csv`` cannot parse are refused, the last two
+    naming their line.  Parsing is strict, so a quote left open at the end
+    of the file or text after a closing quote is an error.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, what), newline=""), strict=True)
+    try:
+        names = next(reader, None)
+        if names is None or [name.strip() for name in names] != header:
+            raise IngestionError(f"{path}: expected header {','.join(header)!r}, got {names}")
+        for row in filter(None, reader):  # a blank line reads as no cells
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"{path}:{reader.line_num}: {len(row)} cells, but the header has {len(header)}")
+            yield reader.line_num, [cell.strip() for cell in row]
     except csv.Error as exc:
         raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -198,11 +207,15 @@ _SCALAR_KINDS = {
 def _check_fields(obj) -> None:
     """Refuse a scalar field of the dataclass ``obj`` that breaks its type or bound.
 
-    A field annotated ``int``, ``float``, ``bool`` or ``str``, or one of
-    these ``| None`` (which may then hold None), must hold a value of that
-    type, and a bool is no integer.  A number must be finite, within the
-    float range, and positive, or at least the field's ``at_least``
-    metadata where it has one.  Other fields are left to their owner.
+    This is the one check of a scalar, whether it came from a scenario
+    file, a flag or a library caller; the scenario loader only adds the
+    file and the key to its message.  A field annotated ``int``,
+    ``float``, ``bool`` or ``str``, or one of these ``| None`` (which may
+    then hold None), must hold a value of that type, and a bool is no
+    integer.  A number must be finite, within the float range, and
+    positive, or at least the field's ``at_least`` metadata where it has
+    one.  An integer that passes on a ``float`` field is stored as a float.
+    Other fields are left to their owner.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -224,6 +237,8 @@ def _check_fields(obj) -> None:
             raise ConfigError(f"{f.name} must be {sign}, got {value}")
         if floor is not None and value < floor:
             raise ConfigError(f"{f.name} must be at least {floor}, got {value}")
+        if kind is float:
+            object.__setattr__(obj, f.name, float(value))
 
 
 def load_nodes_csv(path: str | Path) -> list[GeoNode]:

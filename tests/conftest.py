@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uamsim import (
+    REVENUE,
     GeoNode,
     ODMatrix,
     SimConfig,
@@ -99,3 +100,21 @@ def backlog_config(seed: int, fleet: int, t_sim: int) -> SimConfig:
     net = build_network(nodes, spec)
     rates = compute_rates(ODMatrix(counts=counts))
     return SimConfig(net=net, spec=spec, rates=rates, fleet=fleet, t_sim=t_sim, seed=seed)
+
+
+def idle_minutes_from_log(result) -> list[int]:
+    """Each aircraft's idle minutes, derived from the trip log alone.
+
+    An aircraft is idle from the start of the day to its first take-off,
+    from each leg's landing plus its turnaround (capped at the horizon) to
+    its next take-off, and from the last of these to the horizon.
+    """
+    cfg = result.config
+    free = [0] * cfg.fleet
+    idle = [0] * cfg.fleet
+    for trip in result.trips:  # in launch order, so each aircraft's legs in order
+        charged = trip.kind == REVENUE or cfg.charge_after_reposition
+        turnaround = cfg.spec.turnaround_min if charged else 0
+        idle[trip.vehicle_id] += trip.depart_min - free[trip.vehicle_id]
+        free[trip.vehicle_id] = min(trip.arrive_min + turnaround, cfg.t_sim)
+    return [minutes + cfg.t_sim - end for minutes, end in zip(idle, free)]

@@ -31,7 +31,7 @@ from uamsim import (
 )
 from uamsim.cli import EXIT_OK, main
 
-from conftest import BASELINE_DIR
+from conftest import BASELINE_DIR, idle_minutes_from_log
 
 
 def report_line(criterion: str, clauses: list[tuple[str, bool]]) -> None:
@@ -231,9 +231,9 @@ def test_criterion_06_conservation_and_determinism(net, spec, baseline_rates):
             failures.append((case, "conservation"))
         if any(
             v.revenue_air_min + v.reposition_air_min + v.buffer_min + v.charge_min + v.idle_min
-            != cfg.t_sim
+            != cfg.t_sim or v.idle_min < 0
             for v in a.vehicles
-        ):
+        ) or [v.idle_min for v in a.vehicles] != idle_minutes_from_log(a):
             failures.append((case, "accumulators"))
         b = run_simulation(cfg)
         if json.dumps(a.to_dict(), sort_keys=True) != json.dumps(b.to_dict(), sort_keys=True):
@@ -384,8 +384,10 @@ def test_criterion_10_degenerate_scenarios(net, spec, baseline_rates):
         and one.generated == one.served + one.onboard_at_end + one.unserved
         and all(
             v.revenue_air_min + v.reposition_air_min + v.buffer_min + v.charge_min + v.idle_min == 1200
+            and v.idle_min >= 0
             for v in one.vehicles
         )
+        and [v.idle_min for v in one.vehicles] == idle_minutes_from_log(one)
     )
     report_line(
         "10 degenerate-scenarios",

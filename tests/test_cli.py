@@ -8,12 +8,13 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uamsim import cli
+from uamsim import ConfigError, cli
 from uamsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 from conftest import BASELINE_DIR
@@ -87,6 +88,18 @@ def test_a_leading_byte_order_mark_is_skipped(scenario_dir, capsys, command):
     assert capsys.readouterr().out == shipped
 
 
+@pytest.mark.parametrize("command", ["distances", "demand"])
+def test_a_byte_order_mark_before_the_config_is_skipped(scenario_dir, capsys, command):
+    # the CSV files skipped one, but config.json exited 2 with
+    # "invalid JSON: Unexpected UTF-8 BOM"
+    config = scenario_dir / "config.json"
+    assert run_cli(command, "--config", config) == EXIT_OK
+    shipped = capsys.readouterr().out
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert run_cli(command, "--config", config) == EXIT_OK
+    assert capsys.readouterr().out == shipped
+
+
 def test_missing_nodes_file_exits_2(scenario_dir, capsys):
     (scenario_dir / "nodes.csv").unlink()
     assert run_cli("distances", "--config", scenario_dir / "config.json") == EXIT_CONFIG
@@ -107,6 +120,7 @@ def test_bad_node_set_exits_2(scenario_dir, capsys, rows, message):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert run_cli("demand", "--config", tmp_path / "nope.json") == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'nope.json'}\n"
 
 
 def test_demand_reports_total_rate(scenario_dir, capsys):
@@ -419,7 +433,8 @@ def test_non_finite_number_exits_2(scenario_dir, tmp_path, capsys, field, value)
         "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out",
         "--minutes", "60",
     ) == EXIT_CONFIG
-    assert f"{field} must be a finite number" in capsys.readouterr().err
+    sign = "nonnegative" if field == "compare_wait_min" else "positive"
+    assert f"config.json: {field} must be {sign} and finite, got {value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -529,7 +544,7 @@ def test_error_after_a_blank_line_names_its_line(scenario_dir, capsys, name, row
 # the first four ended in a UnicodeDecodeError or _csv.Error traceback with
 # exit 1; the last two were read as 3000 and exited 0
 @pytest.mark.parametrize("name, data, message", [
-    ("config.json", b'{"nodes": "nodes.csv", "od": "od.csv", "seed": 1\xff}', "config.json: invalid JSON"),
+    ("config.json", b'{"nodes": "nodes.csv", "od": "od.csv", "seed": 1\xff}', "config.json: not UTF-8 text"),
     ("nodes.csv", b"id,code,lat,lon\n0,SF\xff,37.6190,-122.3750\n", "nodes.csv: not UTF-8 text"),
     ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK,13\xff00\n", "od.csv: not UTF-8 text"),
     ("od.csv", b"origin,dest,monthly_pax\nSFO,OAK," + b"1" * 200_000 + b"\n",
@@ -593,6 +608,37 @@ def test_non_finite_flag_exits_2(scenario_dir, capsys, argv):
         "--alpha": "alpha must be positive and finite, got nan",
         "--wait": "compare_wait_min must be nonnegative and finite, got inf",
     }[argv[1]] in capsys.readouterr().err
+
+
+def test_an_integer_given_for_a_number_is_echoed_as_a_float(scenario_dir, tmp_path):
+    doc = json.loads((scenario_dir / "config.json").read_text())
+    doc["alpha"] = 2
+    doc["vehicle"]["cruise_speed_mph"] = 150
+    (scenario_dir / "config.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "simulate", "--config", scenario_dir / "config.json", "--out", tmp_path / "out", "--minutes", "60",
+    ) == EXIT_OK
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert repr(echo["alpha"]) == "2.0"
+    assert repr(echo["vehicle"]["cruise_speed_mph"]) == "150.0"
+
+
+def test_a_bad_value_reads_the_same_from_the_file_the_flag_and_the_library(
+        scenario_dir, capsys, baseline_scenario):
+    # the file once said "alpha must be a finite number, got nan" and the
+    # flag "alpha must be positive and finite, got nan"
+    config = scenario_dir / "config.json"
+    assert run_cli("simulate", "--alpha", "nan", "--config", config) == EXIT_CONFIG
+    from_flag = capsys.readouterr().err
+    doc = json.loads(config.read_text())
+    doc["alpha"] = float("nan")
+    config.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--config", config) == EXIT_CONFIG
+    from_file = capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        replace(baseline_scenario, alpha=float("nan"))
+    assert from_flag == f"error: {err.value}\n"
+    assert from_file == f"error: {config}: {err.value}\n"
 
 
 # every (command, flag) pair the command once accepted and ignored

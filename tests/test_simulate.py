@@ -26,7 +26,7 @@ from uamsim import (
 )
 from uamsim.network import EARTH_RADIUS_MI
 
-from conftest import backlog_config, single_pair_rates
+from conftest import backlog_config, idle_minutes_from_log, single_pair_rates
 
 SFO, OAK, SJC, PAO = 0, 1, 2, 3
 
@@ -538,9 +538,11 @@ def test_invariants_on_random_configs(net, spec, baseline_rates, case):
     result = run_simulation(cfg)
 
     assert result.generated == result.served + result.onboard_at_end + result.unserved
+    # idle minutes come from the log, so the bucket sum checks the other four
+    assert [v.idle_min for v in result.vehicles] == idle_minutes_from_log(result)
     for v in result.vehicles:
         total = v.revenue_air_min + v.reposition_air_min + v.buffer_min + v.charge_min + v.idle_min
-        assert total == cfg.t_sim
+        assert total == cfg.t_sim and v.idle_min >= 0
 
     # capacity, no double boarding, OD consistency, range safety
     seen: set[int] = set()

@@ -3,16 +3,17 @@
 Each mutant in ``tools/mutants.json`` has a ``name``, the defect it
 plants (``why``), a ``file`` under the repository root, an exact ``old``
 text that must occur in it once, the ``new`` text that replaces it, and
-the ``tests`` files expected to kill it.  For each mutant, one at a time,
-the runner copies the package, the tests and the files they read into a
-temporary directory, applies the mutant there and runs
-``pytest -x -q -p no:cacheprovider`` on the named test files.  The
-working tree is never written.
+the ``tests`` expected to kill it: test files, or pytest node ids
+(``tests/test_x.py::test_y``) where only some tests of a file should.
+For each mutant, one at a time, the runner copies the package, the tests
+and the files they read into a temporary directory, applies the mutant
+there and runs ``pytest -x -q -p no:cacheprovider`` on the named tests.
+The working tree is never written.
 
 A mutant is *killed* when a test fails, *survived* when every test
-passes, and *stale* when its old text does not occur exactly once or a
-named test file is missing; a stale mutant is restated against the current
-code, not dropped.  A mutant that stops pytest before a test can fail (a
+passes, and *stale* when its old text does not occur exactly once or the
+file of a named test is missing; a stale mutant is restated against the
+current code, not dropped.  A mutant that stops pytest before a test can fail (a
 syntax error, say) is an *error*: it shows nothing about the tests.
 Prints one line per mutant and exits 1 unless every mutant was killed.
 Run from anywhere: ``python tools/mutants.py``.
@@ -49,7 +50,7 @@ def run_mutant(mutant: dict) -> str:
     """``killed``, ``survived``, ``stale`` or ``error`` for one mutant."""
     target = ROOT / mutant["file"]
     text = target.read_text(encoding="utf-8")
-    missing = [name for name in mutant["tests"] if not (ROOT / name).is_file()]
+    missing = [name for name in mutant["tests"] if not (ROOT / name.split("::")[0]).is_file()]
     if text.count(mutant["old"]) != 1 or missing:
         return "stale"
     with tempfile.TemporaryDirectory(prefix="uamsim-mutant-") as tmp:
