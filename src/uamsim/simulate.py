@@ -8,38 +8,48 @@ ceiling of the airborne time).  Per minute the engine
 1. returns aircraft whose leg and turnaround end this minute to the ground,
 2. injects this minute's rider arrivals,
 3. dispatches: waiting riders board a co-located idle vehicle (pooling up
-   to capacity on the identical OD pair) or summon the nearest idle one,
-   which flies over empty and must finish its turnaround before boarding;
-   a rider whose summoned vehicle's last leg is still a reposition leg to
-   the rider's origin has help inbound and summons no other,
-4. repositions remaining idle vehicles at rider-free nodes toward the
+   to capacity on the identical OD pair) or summon the nearest idle one in
+   range, which flies over empty and must finish its turnaround before
+   boarding; a rider whose summoned vehicle's last leg is still a
+   reposition leg to the rider's origin has help inbound and summons no
+   other,
+4. repositions the idle vehicles at rider-free nodes in range toward the
    highest-origin-rate node that still has riders waiting (``rate_order``
    lists the nodes by descending origin rate, lowest id first on ties).
 
-Waiting riders are held three ways: ``waiting`` is the rider-id-ordered
-ledger, each (origin, dest) pair has a FIFO ``deque`` of its riders, and
-each origin keeps a count of riders waiting there.  A boarding pools the
+Range is decided once per run.  ``__init__`` reads ``net.feasible`` into
+two tables: ``summon_from[x]`` lists the nodes with a feasible leg into
+``x``, nearest first and lowest id on ties, and ``reposition_from[x]``
+lists the same nodes in id order.  A summons walks the first, a
+reposition the second, and the arrival stream is checked against the
+pairs they hold, so no leg beyond range is ever flown.
+
+Waiting riders are held three ways: ``waiting`` maps each rider's id, in
+id order, to the vehicle it summoned or None (dispatch reads the rider
+itself from the arrival stream, where rider ``i`` is at place ``i``), each
+(origin, dest) pair has a FIFO ``deque`` of its riders, and each origin
+keeps a count of riders waiting there.  A boarding pools the
 first ``capacity`` riders of its pair's queue, and repositioning reads the
 per-origin counts, so a minute costs time in proportion to the riders
 visited and the legs launched, not to the length of the queue.
 
-The engine holds only live state.  ``summoned`` maps a waiting rider to
-the vehicle it summoned and drops the rider on boarding, so its keys stay
-a subset of ``waiting``.  ``_launch`` takes each leg's ``arrive_min`` from
-``landings``, one int per landing minute of the run, so the legs that
-land in the same minute share one int object instead of holding one each.
+The engine holds only live state.  A summons lives in its rider's
+``waiting`` entry, so it leaves with the rider on boarding.  ``_launch``
+takes each leg's ``arrive_min`` from ``landings``, one int per landing
+minute of the run, so the legs that land in the same minute share one int
+object instead of holding one each.
 
 Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
-post-reposition charge can be disabled), and every leg flown is checked
-against the vehicle's range.  At take-off ``_launch`` appends the leg's
-``TripRecord`` to the trip log and schedules the one event, the minute the
-vehicle is idle again: its ``arrive_min`` plus the turnaround after its
-``kind``, revenue or reposition (an empty summon is a reposition leg).  A
-vehicle is therefore either idle, on its node's ground heap, or busy until
-a known minute.  ``last_leg`` holds each vehicle's last leg, the one in
-the trip log: its ``dest`` is the vehicle's node and its riders are aboard
-until its ``arrive_min``.  It is also where a summoned vehicle is heading:
+post-reposition charge can be disabled).  At take-off ``_launch`` appends
+the leg's ``TripRecord`` to the trip log and schedules the one event, the
+minute the vehicle is idle again: its ``arrive_min`` plus the turnaround
+after its ``kind``, revenue or reposition (an empty summon is a
+reposition leg).  A vehicle is therefore either idle, on its node's
+ground heap, or busy until a known minute.  ``last_leg`` holds each
+vehicle's last leg, the one in the trip log: its ``dest`` is the
+vehicle's node and its riders are aboard until its ``arrive_min``.  It is
+also where a summoned vehicle is heading:
 help counts as inbound while the helper's last leg is a reposition leg to
 the rider's origin.  A helper that has gone idle there sits on that node's
 heap, so the rider boards before the test is reached, and a helper taken
@@ -332,17 +342,21 @@ class Simulation:
         """
         n = cfg.net.n
         self.cfg = cfg
-        self.n = n
         self.capacity = cfg.spec.capacity
         self.buffer = cfg.spec.buffer_min
         self.turnaround = cfg.turnaround
         # integer airborne minutes per ordered pair, as Python ints: a leg
         # longer than int64 minutes stays aloft past the horizon, not wrapped
         self.air_min = [list(map(int, row)) for row in np.ceil(cfg.net.air_time).tolist()]
-        self.feasible = cfg.net.feasible.tolist()
-        # node visit orders, nearest first for the idle search and by
-        # descending origin rate for repositioning; lowest id breaks ties
-        self.near_order = np.argsort(cfg.net.dist, axis=1, kind="stable").tolist()
+        # range is decided here, once: per node, the nodes with a feasible
+        # leg into it, nearest first (lowest id on ties) for a summons and
+        # in id order for repositioning
+        near_order = np.argsort(cfg.net.dist, axis=1, kind="stable").tolist()
+        into = cfg.net.feasible.T.tolist()
+        self.summon_from = [[node for node in near_order[x] if into[x][node]] for x in range(n)]
+        self.reposition_from = [sorted(nodes) for nodes in self.summon_from]
+        # the nodes by descending origin rate: repositioning heads for the
+        # first with riders waiting
         self.rate_order = np.argsort(-cfg.rates.origin_rate, kind="stable").tolist()
 
         if riders is None:
@@ -350,7 +364,7 @@ class Simulation:
         self.all_riders = riders
         self.arrivals_by_minute: list[list[RiderRequest]] = [[] for _ in range(cfg.t_sim)]
         t_sim, by_minute = cfg.t_sim, self.arrivals_by_minute
-        pairs = {(o, d) for o, row in enumerate(self.feasible) for d, ok in enumerate(row) if ok}
+        pairs = {(o, d) for d, nodes in enumerate(self.summon_from) for o in nodes}
         for i, rider in enumerate(riders):
             rider_id, origin, dest, minute = rider
             if not (rider_id == i and 0 <= minute < t_sim and (origin, dest) in pairs):
@@ -370,13 +384,14 @@ class Simulation:
             self.idle_at[node].append(vid)
         self.idle_count = cfg.fleet
 
-        self.waiting: dict[int, RiderRequest] = {}  # insertion order == rider id order
+        # waiting rider id -> the vehicle it summoned, or None; insertion
+        # order == rider id order
+        self.waiting: dict[int, int | None] = {}
         # the same riders, FIFO per (origin, dest) pair and counted per origin
         self.queue: list[list[deque[RiderRequest]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
         self.waiting_at = [0] * n
-        self.summoned: dict[int, int] = {}          # waiting rider id -> vehicle id flying to help
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.landings: dict[int, int] = {}          # each arrive_min value, one int object
         self.trips: list[TripRecord] = []
@@ -397,7 +412,7 @@ class Simulation:
 
     def inject(self, minute: int) -> None:
         for rider in self.arrivals_by_minute[minute]:
-            self.waiting[rider.rider_id] = rider
+            self.waiting[rider.rider_id] = None
             self.queue[rider.origin][rider.dest].append(rider)
             self.waiting_at[rider.origin] += 1
             self.generated_so_far += 1
@@ -405,15 +420,17 @@ class Simulation:
     def dispatch_step(self, minute: int) -> None:
         if self.idle_count == 0:
             return  # nobody can board or be summoned this minute
+        waiting, idle_at, all_riders = self.waiting, self.idle_at, self.all_riders
         boarded: set[int] = set()
-        for rider in self.waiting.values():
-            if rider.rider_id in boarded:
+        # setting a rider's summons keeps the keys, so the walk stays valid
+        for rid, helper in waiting.items():
+            if rid in boarded:
                 continue  # pooled onto an earlier boarding this pass
+            rider = all_riders[rid]
             origin = rider.origin
-            if self.idle_at[origin]:
+            if idle_at[origin]:
                 boarded.update(self._board(rider, minute))
                 continue
-            helper = self.summoned.get(rider.rider_id)
             if helper is not None:
                 # help is on its way while the helper's last leg is still
                 # a reposition leg here; see the module docstring
@@ -422,36 +439,26 @@ class Simulation:
                     continue
             if self.idle_count == 0:
                 break  # the last idle vehicle left during this pass
-            node = self._nearest_idle(origin)
-            if node is not None:
-                self.summoned[rider.rider_id] = self._launch(node, REPOSITION, origin, (), minute)
+            for node in self.summon_from[origin]:
+                if idle_at[node]:
+                    waiting[rid] = self._launch(node, REPOSITION, origin, (), minute)
+                    break
         for rid in boarded:
-            del self.waiting[rid]
-            self.summoned.pop(rid, None)
+            del waiting[rid]
 
     def reposition_idle(self, minute: int) -> None:
         if not self.cfg.reposition_enabled or self.idle_count == 0 or not self.waiting:
             return
         waiting_at = self.waiting_at
         target = next(x for x in self.rate_order if waiting_at[x])
-        for node in range(self.n):
-            if waiting_at[node] or not self.feasible[node][target]:
+        for node in self.reposition_from[target]:
+            if waiting_at[node]:
                 continue
             pool = self.idle_at[node]
             while pool:
                 self._launch(node, REPOSITION, target, (), minute)
 
     # -- helpers -----------------------------------------------------------
-
-    def _nearest_idle(self, origin: int) -> int | None:
-        """The closest node with an idle vehicle and a feasible leg in."""
-        for node in self.near_order[origin]:
-            if not self.idle_at[node]:
-                continue
-            if node != origin and not self.feasible[node][origin]:
-                continue
-            return node
-        return None
 
     def _board(self, rider: RiderRequest, minute: int) -> tuple[int, ...]:
         """Fly ``rider`` and up to ``capacity - 1`` pair-mates; return their ids.

@@ -8,19 +8,29 @@ matrix, with its own horizon clamp, and requires the library's values
 exactly.  It also checks the files against each other: a rider boards at
 its leg's take-off and is dropped off at its landing, if that comes
 before the horizon.
+
+The same worlds are then written as scenario files and run through
+``uamsim simulate``: the ``metrics`` and ``simulation`` sections of its
+``report.json`` must equal their recomputation from the CSV files the
+command wrote.  A ``uamsim sweep`` row must equal the seed means of the
+``simulate`` reports of its fleet size.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 
-from uamsim import compute_metrics, run_simulation, throughput_matrix, write_riders_csv, write_trips_csv
+from uamsim import (build_world, compute_metrics, load_scenario, run_simulation, throughput_matrix,
+                    write_riders_csv, write_trips_csv)
+from uamsim.cli import main
 from uamsim.metrics import write_waits_csv
 
 from test_oracle import FIXED_WORLDS, worlds
@@ -46,7 +56,8 @@ def recompute(cfg, folder: Path) -> dict:
     air = {"revenue": 0, "reposition": 0}
     ground = revenue_legs = seated = 0
     board, dropoff = {}, {}
-    for row in read_rows(folder / "trips.csv"):
+    trips = read_rows(folder / "trips.csv")
+    for row in trips:
         kind, depart, arrive = row["kind"], int(row["depart_min"]), int(row["arrive_min"])
         flown = min(arrive, t_sim) - depart
         in_buffer = min(flown, buffer)
@@ -100,7 +111,8 @@ def recompute(cfg, folder: Path) -> dict:
         "u_air_band": band,
         "load_ok": load_factor >= 0.70,
     }
-    return {"report": report, "generated": len(riders), "throughput": served_matrix.tolist()}
+    return {"report": report, "generated": len(riders), "throughput": served_matrix.tolist(),
+            "revenue_trips": revenue_legs, "reposition_trips": len(trips) - revenue_legs}
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -134,3 +146,79 @@ def test_the_outputs_of_simulate_build_no_rider_or_vehicle_records(tmp_path):
     assert "riders" not in vars(result) and "vehicles" not in vars(result)
     # a read builds them once and keeps them
     assert result.riders is result.riders and "riders" in vars(result)
+
+
+# -- the same worlds through the command line ------------------------------------
+
+def write_scenario(cfg, folder: Path, seeds: int = 1) -> Path:
+    """``cfg``'s world as ``nodes.csv``, ``od.csv`` and ``config.json``; the config's path.
+
+    A month is 30 days of 20 operating hours, so a world's rate of
+    ``steps/20`` per minute is ``steps * 1800`` riders a month, and the
+    loader divides it back to the same float.
+    """
+    net = cfg.net
+    rows = [f"{node.id},{node.code},{node.lat!r},{node.lon!r}\n" for node in net.nodes]
+    (folder / "nodes.csv").write_text("id,code,lat,lon\n" + "".join(rows), encoding="utf-8")
+    monthly = np.rint(cfg.rates.per_min * 30 * 20 * 60).astype(int)
+    rows = [f"{net.codes[o]},{net.codes[d]},{monthly[o, d]}\n" for o, d in zip(*np.nonzero(monthly))]
+    (folder / "od.csv").write_text("origin,dest,monthly_pax\n" + "".join(rows), encoding="utf-8")
+    scenario = {
+        "nodes": "nodes.csv", "od": "od.csv", "vehicle": asdict(cfg.spec),
+        "days_per_month": 30, "op_hours_per_day": 20.0, "t_sim_min": cfg.t_sim,
+        "fleet": cfg.fleet, "pooling_q": 1.0, "seed": cfg.seed, "seeds": seeds,
+        "reposition_enabled": cfg.reposition_enabled,
+        "charge_after_reposition": cfg.charge_after_reposition,
+        "initial_placement": cfg.initial_placement,
+    }
+    path = folder / "config.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    rates = build_world(load_scenario(path))[3]
+    assert (rates.per_min == cfg.rates.per_min).all(), "the files must give the world's rates"
+    return path
+
+
+def simulate_report(config: Path, out: Path, *flags: str) -> dict:
+    assert main(["simulate", "--config", str(config), "--out", str(out), *flags]) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(cfg=worlds())
+@example(cfg=FIXED_WORLDS["legs cut at the horizon"])
+@example(cfg=FIXED_WORLDS["capacity above demand"])
+@example(cfg=FIXED_WORLDS["backlogged fleet"])
+@example(cfg=FIXED_WORLDS["reposition tie"])
+def test_simulate_report_equals_its_recomputation_from_the_csv_files(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        report = simulate_report(write_scenario(cfg, folder), folder / "out")
+        want = recompute(cfg, folder / "out")
+    assert report["metrics"] == {**want["report"], "throughput": want["throughput"]}
+    assert report["simulation"] == {
+        "generated": want["generated"],
+        "served": want["report"]["served"],
+        "onboard_at_end": want["report"]["onboard_at_end"],
+        "unserved": want["report"]["unserved"],
+        "revenue_trips": want["revenue_trips"],
+        "reposition_trips": want["reposition_trips"],
+    }
+
+
+def test_sweep_rows_are_the_seed_means_of_simulate_reports(tmp_path):
+    # over these seeds fleet 3 misses the wait target that 1, 2 and 4 meet
+    cfg = FIXED_WORLDS["reposition tie"]
+    seeds, fleets = 3, range(1, 5)
+    config = write_scenario(cfg, tmp_path, seeds=seeds)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep"),
+                 "--n-min", str(fleets[0]), "--n-max", str(fleets[-1])]) == 0
+    rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [int(row["fleet"]) for row in rows] == list(fleets)
+    assert [row["wait_ok"] for row in rows] == ["True", "True", "False", "True"]
+    for row, fleet in zip(rows, fleets):
+        metrics = [simulate_report(config, tmp_path / f"{fleet}-{k}", "--fleet", str(fleet),
+                                   "--seed", str(cfg.seed + k))["metrics"] for k in range(seeds)]
+        averaged = [name for name in row if name not in ("fleet", "wait_ok")]
+        means = {name: sum(m[name] for m in metrics) / seeds for name in averaged}
+        assert {name: float(row[name]) for name in means} == means
+        assert row["wait_ok"] == str(means["mean_wait"] <= 10.0)
