@@ -55,6 +55,7 @@ from .simulate import (
     SimConfig,
     SimResult,
     Simulation,
+    TripLog,
     TripRecord,
     VehicleStats,
     run_simulation,

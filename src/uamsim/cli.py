@@ -3,20 +3,16 @@
 Subcommands: ``distances | demand | size-fleet | simulate | compare | sweep``.
 Every command loads one scenario JSON (``--config``), applies flag
 overrides, and exits 0 on success, 2 on configuration or I/O problems, and
-3 when a sweep finds no feasible fleet within its bounds.  A command owns
-its process, so it runs with the cyclic garbage collector paused (see
-``_gc_paused``); the library functions it calls leave the collector alone.
+3 when a sweep finds no feasible fleet within its bounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import gc
 import json
 import sys
 from dataclasses import fields, replace
-from operator import attrgetter, countOf
+from operator import countOf
 from pathlib import Path
 
 from .config import ScenarioConfig, build_world, load_scenario
@@ -36,13 +32,7 @@ from .metrics import (
     write_waits_csv,
 )
 from .sizing import size_fleet
-from .simulate import (
-    REVENUE,
-    SimConfig,
-    run_simulation,
-    write_riders_csv,
-    write_trips_csv,
-)
+from .simulate import SimConfig, run_simulation, write_riders_csv, write_trips_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,7 +160,8 @@ def cmd_simulate(cfg: ScenarioConfig, args) -> int:
     write_waits_csv(result.waits, out / "waits.csv")
     write_heatmap_csv(od.counts, net.codes, out / "heatmap_demand.csv")
     write_heatmap_csv(served, net.codes, out / "heatmap_served.csv")
-    revenue_trips = countOf(map(attrgetter("kind"), result.trips), REVENUE)
+    seated = result.log.seated
+    reposition_trips = countOf(seated, 0)  # a reposition leg carries no riders
     write_report_json(
         {
             "config": cfg.to_dict(),
@@ -183,8 +174,8 @@ def cmd_simulate(cfg: ScenarioConfig, args) -> int:
                 "served": result.served,
                 "onboard_at_end": result.onboard_at_end,
                 "unserved": result.unserved,
-                "revenue_trips": revenue_trips,
-                "reposition_trips": len(result.trips) - revenue_trips,
+                "revenue_trips": len(seated) - reposition_trips,
+                "reposition_trips": reposition_trips,
             },
         },
         out / "report.json",
@@ -264,28 +255,10 @@ _COMMANDS = {
 }
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic collector, and turn it back on only if it was on.
-
-    The run's records are named tuples, which the collector tracks for
-    life, so every collection re-walks all of them, while a command leaves
-    only a few hundred objects of cyclic garbage whatever its size.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with _gc_paused():
-            return _COMMANDS[args.command][0](_load(args), args)
+        return _COMMANDS[args.command][0](_load(args), args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from itertools import starmap
-from operator import countOf, itemgetter, sub
+from itertools import compress
+from operator import countOf
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -23,7 +23,7 @@ from .config import CostParams
 from .demand import generate_arrivals
 from .errors import MetricsError, ValidationError
 from .network import _write_csv
-from .simulate import REPOSITION, REVENUE, SimConfig, SimResult, TripRecord, _rider_ids, run_simulation
+from .simulate import REPOSITION, REVENUE, SimConfig, SimResult, run_simulation
 
 WAIT_TARGET_MIN = 10.0
 U_AIR_BAND = (0.60, 0.70)
@@ -89,57 +89,53 @@ def throughput_matrix(result: SimResult) -> np.ndarray:
     """Dropped-off rider counts per ordered pair.
 
     A leg's riders share its pair, so each leg that landed before the
-    horizon adds its rider count to its own pair.
+    horizon adds its rider count to its own pair.  The riderless legs are
+    skipped in C.
     """
-    n, t_end = result.config.net.n, result.config.t_sim
+    n, t_end, log = result.config.net.n, result.config.t_sim, result.log
     served = [0] * (n * n)
-    for _, _, origin, dest, _, arrive, rider_ids in filter(_rider_ids, result.trips):
+    legs = zip(log.origin, log.dest, log.arrive, log.seated)
+    for origin, dest, arrive, seated in compress(legs, log.seated):
         if arrive < t_end:
-            served[origin * n + dest] += len(rider_ids)
+            served[origin * n + dest] += seated
     return np.array(served, dtype=np.int64).reshape(n, n)
-
-
-_LANDING_AND_TAKEOFF = itemgetter(5, 4)
-
-
-def _flown(legs: Iterable[TripRecord]) -> int:
-    """The sum of ``arrive_min - depart_min`` over ``legs``, taken in C."""
-    return sum(starmap(sub, map(_LANDING_AND_TAKEOFF, legs)))
 
 
 def compute_metrics(result: SimResult) -> MetricsReport:
     """Assemble the full report; degenerate zero-demand runs score all zeros.
 
-    Whole legs are summed in C: each books its buffer, its ``arrive_min -
-    depart_min - buffer`` air minutes in the bucket of its kind and the
-    turnaround after that kind.  Only revenue legs carry riders, and each
-    carries some.  Only an aircraft's last leg can cross the horizon, so
-    the last legs whose landing plus charge passes ``t_sim`` then swap
-    their whole minutes for ``SimConfig.clamped_minutes``.  An aircraft
-    that never flew has a placeholder last leg (``arrive_min`` 0) that is
-    not in the log, so it is left out.
+    Whole legs are summed over the log's columns in C: each books its
+    buffer, its ``arrive_min - depart_min - buffer`` air minutes in the
+    bucket of its kind and the turnaround after that kind.  A leg is a
+    revenue leg if and only if it carries riders, so ``compress`` by the
+    rider counts picks the revenue legs.  Only an aircraft's last leg can
+    cross the horizon, so the last legs whose landing plus charge passes
+    ``t_sim`` then swap their whole minutes for ``SimConfig.clamped_minutes``.
+    An aircraft that never flew has a placeholder last leg (``arrive_min``
+    0) that is not in the log, so it is left out.
     """
     mean_wait, p95 = wait_stats(result.waits) if result.waits else (0.0, 0.0)
-    cfg, legs = result.config, result.trips
+    cfg, log = result.config, result.log
     t_end, buffer, turnaround = cfg.t_sim, cfg.spec.buffer_min, cfg.turnaround
-    reposition_legs = countOf(map(_rider_ids, legs), ())
-    revenue_legs = len(legs) - reposition_legs
-    seated = sum(map(len, map(_rider_ids, legs)))
-    revenue_flown = _flown(filter(_rider_ids, legs))
+    legs = len(log.seated)
+    reposition_legs = countOf(log.seated, 0)
+    revenue_legs = legs - reposition_legs
+    revenue_flown = sum(compress(log.arrive, log.seated)) - sum(compress(log.depart, log.seated))
     air = {REVENUE: revenue_flown - buffer * revenue_legs,
-           REPOSITION: _flown(legs) - revenue_flown - buffer * reposition_legs}
-    ground = (buffer * len(legs) + turnaround[REVENUE] * revenue_legs
+           REPOSITION: sum(log.arrive) - sum(log.depart) - revenue_flown - buffer * reposition_legs}
+    ground = (buffer * legs + turnaround[REVENUE] * revenue_legs
               + turnaround[REPOSITION] * reposition_legs)
     cut = [leg for leg in result.last_legs
            if leg.arrive_min and leg.arrive_min + turnaround[leg.kind] > t_end]
-    for leg, (taxied, flown, charged) in zip(cut, cfg.clamped_minutes(cut)):
+    clamped = cfg.clamped_minutes((leg.kind, leg.depart_min, leg.arrive_min) for leg in cut)
+    for leg, (taxied, flown, charged) in zip(cut, clamped):
         air[leg.kind] -= leg.arrive_min - leg.depart_min - buffer - flown
         ground -= buffer + turnaround[leg.kind] - taxied - charged
     revenue, reposition = air[REVENUE], air[REPOSITION]
     total = cfg.fleet * cfg.t_sim
     u_air = revenue / total
     band = utilization_band(u_air)
-    lf = seated / (cfg.spec.capacity * revenue_legs) if revenue_legs else 0.0
+    lf = len(log.rider_ids) / (cfg.spec.capacity * revenue_legs) if revenue_legs else 0.0
     return MetricsReport(
         mean_wait=mean_wait,
         p95_wait=p95,

@@ -39,31 +39,41 @@ takes each leg's ``arrive_min`` from ``landings``, one int per landing
 minute of the run, so the legs that land in the same minute share one int
 object instead of holding one each.
 
+The trip log is a ``TripLog``: one plain list per field (vehicle, origin,
+dest, depart, arrive and rider count) plus one flat list of every leg's
+rider ids, leg after leg.  A leg carries riders if and only if it is a
+revenue leg, so its ``kind`` is not stored.  The lists hold ints that
+exist anyway (vehicle ids from the idle heaps, the minute, the shared
+landing minutes, rider ids from the stream), so a leg costs a slot in
+each list and no object of its own.  ``TripRecord``s are built only for
+a caller that reads ``SimResult.trips``; no command does.
+
 Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
 post-reposition charge can be disabled).  At take-off ``_launch`` appends
-the leg's ``TripRecord`` to the trip log and schedules the one event, the
-minute the vehicle is idle again: its ``arrive_min`` plus the turnaround
-after its ``kind``, revenue or reposition (an empty summon is a
-reposition leg).  A vehicle is therefore either idle, on its node's
-ground heap, or busy until a known minute.  ``last_leg`` holds each
-vehicle's last leg, the one in the trip log: its ``dest`` is the
-vehicle's node and its riders are aboard until its ``arrive_min``.  It is
-also where a summoned vehicle is heading:
-help counts as inbound while the helper's last leg is a reposition leg to
-the rider's origin.  A helper that has gone idle there sits on that node's
-heap, so the rider boards before the test is reached, and a helper taken
-by another rider meanwhile has a new last leg.
+the leg to the trip log and schedules the one event, the minute the
+vehicle is idle again: its ``arrive_min`` plus the turnaround after its
+kind, revenue or reposition (an empty summon is a reposition leg).  A
+vehicle is therefore either idle, on its node's ground heap, or busy
+until a known minute.  Per vehicle the engine keeps ``last_leg``, the
+index of its last leg in the log (-1 before its first take-off),
+``node``, that leg's ``dest`` (or the start node), and ``last_group``,
+that leg's riders, who are aboard until its ``arrive_min``.  The last leg
+is also where a summoned vehicle is heading: help counts as inbound while
+the helper's last leg is a reposition leg (no riders) to the rider's
+origin.  A helper that has gone idle there sits on that node's heap, so
+the rider boards before the test is reached, and a helper taken by
+another rider meanwhile has a new last leg.
 
 The trip log is the run's result.  ``run`` returns a ``SimResult`` that
-holds the config, the arrival stream, the log, each vehicle's last leg and
-the count of riders still waiting; everything else is read from the log
-when first asked for, and no per-rider or per-vehicle record is built
-unless a caller reads one.  A rider boards at its leg's ``depart_min`` and
-is dropped off at its ``arrive_min``.  Every leg books its buffer, its
-airborne minutes ``arrive_min - depart_min - buffer`` into the bucket its
-``kind`` names, and its turnaround; a vehicle's idle minutes are the rest
-of its day.
+holds the config, the arrival stream, the log, each vehicle's last leg as
+a ``TripRecord`` and the count of riders still waiting; everything else is
+read from the log when first asked for, and no per-rider, per-vehicle or
+per-leg record is built unless a caller reads one.  A rider boards at its
+leg's ``depart_min`` and is dropped off at its ``arrive_min``.  Every leg
+books its buffer, its airborne minutes ``arrive_min - depart_min -
+buffer`` into the bucket of its kind, and its turnaround; a vehicle's idle
+minutes are the rest of its day.
 
 Only the last leg of each vehicle can be under way at the horizon: a
 vehicle takes off again only after its leg has landed.  So the horizon
@@ -91,18 +101,15 @@ until the vehicle is idle again.  So without a return or an arrival a
 repeated dispatch pass and a repeated reposition pass are both no-ops.
 The minutes are read from the trip log at the end, so skipping a minute
 loses no accounting.
-
-Trip records are built by ``tuple.__new__`` on their NamedTuple class,
-called from C, which skips the Python frame of the generated ``__new__``
-once per leg.
 """
 
 # annotations are not postponed: SimConfig's check reads each field's type
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, itemgetter
+from itertools import compress, islice
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -118,7 +125,7 @@ REPOSITION = "reposition"
 
 
 class TripRecord(NamedTuple):
-    """One flight leg as written to the audit log at launch time.
+    """One flight leg, as ``SimResult.trips`` and ``last_legs`` give it.
 
     ``arrive_min`` is the scheduled arrival; legs still airborne when the
     horizon closes keep their schedule and are clamped by consumers.
@@ -144,10 +151,30 @@ class RiderOutcome(NamedTuple):
     dropoff_min: int | None
 
 
-_new_trip = partial(tuple.__new__, TripRecord)
-# a leg's rider ids; only a revenue leg has any, so filter(_rider_ids, legs)
-# keeps the revenue legs without a Python frame per leg
-_rider_ids = itemgetter(6)
+class TripLog(NamedTuple):
+    """The trip log, one list per field: leg ``i`` is entry ``i`` of each.
+
+    ``seated`` is each leg's rider count, and ``rider_ids`` holds the
+    riders of every leg in launch order, so a leg's riders follow those of
+    the legs before it.  A leg with riders is a revenue leg, one without a
+    reposition leg.
+    """
+
+    vehicle: list[int]
+    origin: list[int]
+    dest: list[int]
+    depart: list[int]
+    arrive: list[int]
+    seated: list[int]
+    rider_ids: list[int]
+
+    def records(self) -> Iterator[TripRecord]:
+        """Each leg's ``TripRecord``, made on demand."""
+        ids = iter(self.rider_ids)
+        for vid, origin, dest, depart, arrive, seated in zip(
+                self.vehicle, self.origin, self.dest, self.depart, self.arrive, self.seated):
+            yield TripRecord(vid, REVENUE if seated else REPOSITION, origin, dest, depart, arrive,
+                             tuple(islice(ids, seated)))
 
 
 class VehicleStats(NamedTuple):
@@ -200,8 +227,9 @@ class SimConfig:
         minutes = self.spec.turnaround_min
         return {REVENUE: minutes, REPOSITION: minutes if self.charge_after_reposition else 0}
 
-    def clamped_minutes(self, legs: Iterable[TripRecord]) -> Iterator[tuple[int, int, int]]:
-        """Each leg's (buffer, air, charge) minutes that fall before the horizon.
+    def clamped_minutes(self, legs: Iterable[tuple[str, int, int]]) -> Iterator[tuple[int, int, int]]:
+        """Each leg's (buffer, air, charge) minutes that fall before the
+        horizon, from its (kind, depart_min, arrive_min).
 
         Only an aircraft's last leg can reach ``t_sim``.  Still aloft there
         (landing at or after it), a leg keeps the buffer-first split of the
@@ -209,7 +237,7 @@ class SimConfig:
         charge minutes past the horizon.
         """
         t_end, buffer, turnaround = self.t_sim, self.spec.buffer_min, self.turnaround
-        for _, kind, _, _, depart, arrive, _ in legs:
+        for kind, depart, arrive in legs:
             if arrive + turnaround[kind] <= t_end:  # landed and charged
                 yield buffer, arrive - depart - buffer, turnaround[kind]
             elif arrive < t_end:  # charging at the horizon
@@ -223,22 +251,29 @@ class SimConfig:
 class SimResult:
     """A run's trip log and what it leaves behind; the rest is read from the log.
 
-    ``stream`` is the arrival stream the run read, ``last_legs`` each
-    aircraft's last leg (``Simulation.last_leg``) and ``unserved`` the riders
-    still waiting at the horizon: a rider leaves the queue only by boarding.
-    ``riders``, ``vehicles``, ``served``, ``onboard_at_end`` and ``waits``
-    are built on first read and then kept; treat them as read-only.
+    ``stream`` is the arrival stream the run read, ``log`` the trip log,
+    ``last_legs`` each aircraft's last leg (a riderless leg that landed at
+    its start node at minute 0 for one that never flew) and ``unserved``
+    the riders still waiting at the horizon: a rider leaves the queue only
+    by boarding.  ``trips``, ``riders``, ``vehicles``, ``served``,
+    ``onboard_at_end`` and ``waits`` are built on first read and then kept;
+    treat them as read-only.
     """
 
     config: SimConfig
     stream: list[RiderRequest]
-    trips: tuple[TripRecord, ...]
+    log: TripLog
     last_legs: tuple[TripRecord, ...]
     unserved: int
 
     @property
     def generated(self) -> int:
         return len(self.stream)
+
+    @cached_property
+    def trips(self) -> tuple[TripRecord, ...]:
+        """The trip log as one ``TripRecord`` per leg, built on first read."""
+        return tuple(self.log.records())
 
     @cached_property
     def _boards_and_dropoffs(self) -> tuple[list[int | None], list[int | None]]:
@@ -248,12 +283,13 @@ class SimResult:
         ``arrive_min``, unless the leg is still aloft at the horizon.  The
         riderless legs are skipped in C.
         """
-        t_end = self.config.t_sim
+        t_end, log = self.config.t_sim, self.log
         # generate_arrivals numbers riders by their place in the stream
         boards, dropoffs = [None] * len(self.stream), [None] * len(self.stream)
-        for _, _, _, _, depart, arrive, rider_ids in filter(_rider_ids, self.trips):
+        ids = iter(log.rider_ids)
+        for depart, arrive, seated in compress(zip(log.depart, log.arrive, log.seated), log.seated):
             landed = arrive if arrive < t_end else None
-            for rid in rider_ids:
+            for rid in islice(ids, seated):
                 boards[rid] = depart
                 dropoffs[rid] = landed
         return boards, dropoffs
@@ -287,12 +323,14 @@ class SimResult:
     def vehicles(self) -> tuple[VehicleStats, ...]:
         """Each aircraft's legs clamped at the horizon, the rest of its day
         idle, and the state its last leg leaves it in."""
-        cfg, t_end = self.config, self.config.t_sim
+        cfg, t_end, log = self.config, self.config.t_sim, self.log
+        kinds = [REVENUE if seated else REPOSITION for seated in log.seated]
         # per aircraft: revenue air, reposition air, buffer and charge minutes
         busy = [[0, 0, 0, 0] for _ in self.last_legs]
-        for leg, (buffer, air, charge) in zip(self.trips, cfg.clamped_minutes(self.trips)):
-            row = busy[leg.vehicle_id]
-            row[leg.kind == REPOSITION] += air
+        minutes = cfg.clamped_minutes(zip(kinds, log.depart, log.arrive))
+        for vid, kind, (buffer, air, charge) in zip(log.vehicle, kinds, minutes):
+            row = busy[vid]
+            row[kind == REPOSITION] += air
             row[2] += buffer
             row[3] += charge
         stats = []
@@ -372,15 +410,16 @@ class Simulation:
                                   f"arrive in [0, {t_sim}) on a feasible pair of the network")
             by_minute[minute].append(rider)
 
-        # each vehicle's last leg; before its first take-off, a riderless
-        # leg that landed at its start node at minute 0
-        self.last_leg: list[TripRecord] = []
+        self.log = TripLog([], [], [], [], [], [], [])
+        # per vehicle: the index of its last leg in the log (-1 before its
+        # first take-off), that leg's dest (or its start node) and its riders
+        self.last_leg = [-1] * cfg.fleet
+        start = cfg.start_node
+        self.node = [vid % n if start is None else start for vid in range(cfg.fleet)]
+        self.last_group: list[tuple[int, ...]] = [()] * cfg.fleet
         # min-heaps of idle vehicle ids; appended in id order, so already heaps
         self.idle_at: list[list[int]] = [[] for _ in range(n)]
-        start = cfg.start_node
-        for vid in range(cfg.fleet):
-            node = vid % n if start is None else start
-            self.last_leg.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))
+        for vid, node in enumerate(self.node):
             self.idle_at[node].append(vid)
         self.idle_count = cfg.fleet
 
@@ -394,7 +433,6 @@ class Simulation:
         self.waiting_at = [0] * n
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.landings: dict[int, int] = {}          # each arrive_min value, one int object
-        self.trips: list[TripRecord] = []
         self.generated_so_far = 0
         self.minute = 0
 
@@ -405,9 +443,9 @@ class Simulation:
         due = self.due.pop(minute, None)
         if due is None:
             return
-        last_leg, idle_at = self.last_leg, self.idle_at
+        node, idle_at = self.node, self.idle_at
         for vid in due:
-            heappush(idle_at[last_leg[vid].dest], vid)
+            heappush(idle_at[node[vid]], vid)
         self.idle_count += len(due)
 
     def inject(self, minute: int) -> None:
@@ -431,12 +469,10 @@ class Simulation:
             if idle_at[origin]:
                 boarded.update(self._board(rider, minute))
                 continue
-            if helper is not None:
-                # help is on its way while the helper's last leg is still
-                # a reposition leg here; see the module docstring
-                leg = self.last_leg[helper]
-                if leg.kind == REPOSITION and leg.dest == origin:
-                    continue
+            # help is on its way while the helper's last leg is still a
+            # reposition leg here; see the module docstring
+            if helper is not None and self.node[helper] == origin and not self.last_group[helper]:
+                continue
             if self.idle_count == 0:
                 break  # the last idle vehicle left during this pass
             for node in self.summon_from[origin]:
@@ -484,8 +520,17 @@ class Simulation:
         arrive_min = minute + self.buffer + self.air_min[origin][dest]
         arrive_min = self.landings.setdefault(arrive_min, arrive_min)
         self.due.setdefault(arrive_min + self.turnaround[kind], []).append(vid)
-        self.last_leg[vid] = leg = _new_trip((vid, kind, origin, dest, minute, arrive_min, riders))
-        self.trips.append(leg)
+        log = self.log
+        self.last_leg[vid] = len(log.vehicle)
+        self.node[vid] = dest
+        self.last_group[vid] = riders
+        log.vehicle.append(vid)
+        log.origin.append(origin)
+        log.dest.append(dest)
+        log.depart.append(minute)
+        log.arrive.append(arrive_min)
+        log.seated.append(len(riders))
+        log.rider_ids.extend(riders)
         return vid
 
     # -- loop ---------------------------------------------------------------
@@ -511,8 +556,9 @@ class Simulation:
         minute has not happened yet.  A generated rider who is neither
         waiting nor aboard has been dropped off.
         """
-        minute = self.minute
-        onboard = sum(len(leg.rider_ids) for leg in self.last_leg if leg.arrive_min >= minute)
+        minute, arrive = self.minute, self.log.arrive
+        onboard = sum(len(group) for leg, group in zip(self.last_leg, self.last_group)
+                      if group and arrive[leg] >= minute)
         waiting = len(self.waiting)
         return self.generated_so_far, self.generated_so_far - waiting - onboard, onboard, waiting
 
@@ -520,8 +566,14 @@ class Simulation:
         """Step to the horizon and return the result, read from the engine's state."""
         while self.minute < self.cfg.t_sim:
             self.step()
-        return SimResult(self.cfg, self.all_riders, tuple(self.trips), tuple(self.last_leg),
-                         len(self.waiting))
+        log, last_legs = self.log, []
+        for vid, (leg, node, group) in enumerate(zip(self.last_leg, self.node, self.last_group)):
+            if leg < 0:  # never flew: a riderless leg that landed at its start node at minute 0
+                last_legs.append(TripRecord(vid, REVENUE, node, node, 0, 0, ()))
+            else:
+                last_legs.append(TripRecord(vid, REVENUE if group else REPOSITION, log.origin[leg],
+                                            node, log.depart[leg], log.arrive[leg], group))
+        return SimResult(self.cfg, self.all_riders, log, tuple(last_legs), len(self.waiting))
 
 
 def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> SimResult:
@@ -533,12 +585,20 @@ def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> 
 
 
 def write_trips_csv(result: SimResult, path: str | Path) -> None:
-    """Trip audit log in ``csv.writer``'s bytes; no field ever needs quoting."""
+    """Trip audit log in ``csv.writer``'s bytes; no field ever needs quoting.
+
+    Each line is formatted straight from the log's lists, so no per-leg
+    tuple is built; a riderless leg is a reposition leg.
+    """
+    log = result.log
+    ids = iter(log.rider_ids)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write("vehicle_id,kind,origin,dest,depart_min,arrive_min,riders\r\n")
         fh.writelines(
-            f"{vid},{kind},{origin},{dest},{depart},{arrive},{';'.join(map(str, rider_ids))}\r\n"
-            for vid, kind, origin, dest, depart, arrive, rider_ids in result.trips
+            f"{vid},{REVENUE},{origin},{dest},{depart},{arrive},{';'.join(map(str, islice(ids, seated)))}\r\n"
+            if seated else f"{vid},{REPOSITION},{origin},{dest},{depart},{arrive},\r\n"
+            for vid, origin, dest, depart, arrive, seated
+            in zip(log.vehicle, log.origin, log.dest, log.depart, log.arrive, log.seated)
         )
 
 

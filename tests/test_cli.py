@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uamsim import ConfigError, cli
+from uamsim import ConfigError, SimResult
 from uamsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 from conftest import BASELINE_DIR
@@ -690,20 +690,6 @@ def test_main_leaves_gc_as_it_found_it(scenario_dir, tmp_path, enabled, argv, mi
         assert gc.isenabled() is enabled
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_main_leaves_gc_as_it_found_it_when_a_command_raises(scenario_dir, monkeypatch, enabled):
-    def broken(cfg, args):
-        assert not gc.isenabled()  # the command runs with the collector paused
-        raise RuntimeError("broken command")
-
-    _, help_text, flags = cli._COMMANDS["distances"]
-    monkeypatch.setitem(cli._COMMANDS, "distances", (broken, help_text, flags))
-    with gc_state(enabled):
-        with pytest.raises(RuntimeError, match="broken command"):
-            run_cli("distances", "--config", scenario_dir / "config.json")
-        assert gc.isenabled() is enabled
-
-
 def test_argparse_error_does_not_touch_gc(scenario_dir, monkeypatch):
     calls = []
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
@@ -720,8 +706,8 @@ def test_argparse_error_does_not_touch_gc(scenario_dir, monkeypatch):
      ("sweep", "--n-max", "12", "--seeds", "4")),
 ], ids=["simulate", "sweep"])
 def test_command_cyclic_garbage_does_not_grow_with_the_run(scenario_dir, tmp_path, small, large):
-    """A command runs with the collector paused, so its cyclic garbage must be
-    a constant, not a share of the run."""
+    """A command's cyclic garbage must be a constant, not a share of the run,
+    so the collector has nothing per leg or per rider to find."""
 
     def garbage(argv, out) -> int:
         gc.collect()
@@ -731,6 +717,21 @@ def test_command_cyclic_garbage_does_not_grow_with_the_run(scenario_dir, tmp_pat
             return gc.collect()
 
     assert garbage(small, tmp_path / "small") == garbage(large, tmp_path / "large")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--fleet", "32"),
+    ("sweep", "--seeds", "2"),
+], ids=["simulate", "sweep"])
+def test_no_command_builds_a_trip_record_per_leg(scenario_dir, tmp_path, monkeypatch, argv):
+    """Commands read the trip log's columns; ``SimResult.trips``, one
+    ``TripRecord`` per leg, is built only for a caller that reads it."""
+
+    def refuse(result):
+        raise AssertionError("a command built SimResult.trips")
+
+    monkeypatch.setattr(SimResult, "trips", property(refuse))
+    assert run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path) == EXIT_OK
 
 
 def write_compare_wait(scenario_dir, wait) -> None:

@@ -15,6 +15,7 @@ from uamsim import (
     MetricsError,
     RiderRequest,
     SimConfig,
+    TripLog,
     TripRecord,
     ValidationError,
     VehicleSpec,
@@ -99,7 +100,14 @@ def _one_aircraft_day(net, spec, legs, t_sim=1200):
     stream = sorted(RiderRequest(rid, leg.origin, leg.dest, leg.depart_min)
                     for leg in legs for rid in leg.rider_ids)
     last = legs[-1] if legs else TripRecord(0, REVENUE, 0, 0, 0, 0, ())
-    return SimResult(config=cfg, stream=stream, trips=tuple(legs), last_legs=(last,), unserved=0)
+    return SimResult(config=cfg, stream=stream, log=_trip_log(legs), last_legs=(last,), unserved=0)
+
+
+def _trip_log(legs) -> TripLog:
+    """The hand-written ``legs`` as the engine logs them, one list per field."""
+    columns = [[leg[field] for leg in legs] for field in (0, 2, 3, 4, 5)]
+    return TripLog(*columns, [len(leg.rider_ids) for leg in legs],
+                   [rid for leg in legs for rid in leg.rider_ids])
 
 
 def _revenue_leg(spec, air_min):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -42,9 +43,14 @@ def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
     return Simulation(cfg, riders=list(riders))
 
 
+def logged(sim: Simulation) -> list[TripRecord]:
+    """The legs ``sim`` has flown so far, as ``SimResult.trips`` gives them."""
+    return list(sim.log.records())
+
+
 def place(sim: Simulation, vid: int, node: int) -> None:
     """Relocate an idle vehicle before the clock starts."""
-    sim.last_leg[vid] = TripRecord(vid, REVENUE, node, node, 0, 0, ())
+    sim.node[vid] = node
     rebuild_idle_heaps(sim)
 
 
@@ -55,7 +61,7 @@ def rebuild_idle_heaps(sim: Simulation) -> None:
     """
     busy = {vid for vids in sim.due.values() for vid in vids}
     sim.idle_at = [
-        sorted(vid for vid, leg in enumerate(sim.last_leg) if leg.dest == node and vid not in busy)
+        sorted(vid for vid, at in enumerate(sim.node) if at == node and vid not in busy)
         for node in range(sim.cfg.net.n)
     ]
     sim.idle_count = sum(map(len, sim.idle_at))
@@ -214,6 +220,21 @@ def test_leg_longer_than_int64_minutes_stays_aloft(bay_nodes, baseline_rates):
     assert (result.generated, result.served, result.onboard_at_end, result.unserved) == (55, 0, 3, 52)
 
 
+def test_a_run_builds_no_trip_record_per_leg(sim_config):
+    # the log is one list per field; the only records a run keeps are its
+    # aircraft's last legs, and the trips view builds the rest on demand
+    def records() -> int:
+        gc.collect()
+        return sum(isinstance(obj, TripRecord) for obj in gc.get_objects())
+
+    cfg = sim_config()
+    before = records()
+    result = run_simulation(cfg)
+    assert records() - before <= cfg.fleet
+    assert len(result.trips) > 10 * cfg.fleet
+    assert records() - before >= len(result.trips)
+
+
 def test_records_are_immutable(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=40,
                     initial_placement="node:0")
@@ -232,8 +253,8 @@ def test_pooling_boards_capacity_then_leaves_fifth(net, spec):
     riders = [RiderRequest(i, SFO, SJC, 0) for i in range(5)]
     sim = scripted_sim(cfg, riders)
     sim.step()
-    assert len(sim.trips) == 1
-    assert sim.trips[0].rider_ids == (0, 1, 2, 3)
+    assert len(logged(sim)) == 1
+    assert logged(sim)[0].rider_ids == (0, 1, 2, 3)
     assert set(sim.waiting) == {4}
 
 
@@ -247,7 +268,7 @@ def test_pooling_requires_identical_od(net, spec):
     ]
     sim = scripted_sim(cfg, riders)
     sim.step()
-    assert sim.trips[0].rider_ids == (0, 2)
+    assert logged(sim)[0].rider_ids == (0, 2)
     assert set(sim.waiting) == {1}
 
 
@@ -258,8 +279,8 @@ def test_nearest_idle_vehicle_summoned(net, spec):
     sim = scripted_sim(cfg, [RiderRequest(0, SFO, SJC, 0)])
     place(sim, 1, SJC)
     sim.step()
-    assert len(sim.trips) == 1
-    trip = sim.trips[0]
+    assert len(logged(sim)) == 1
+    trip = logged(sim)[0]
     assert trip.kind == REPOSITION
     assert trip.vehicle_id == 0 and trip.origin == OAK and trip.dest == SFO
     # the rider is not aboard a repositioning vehicle
@@ -288,7 +309,7 @@ def test_no_duplicate_summons_while_help_inbound(net, spec):
     for _ in range(8):
         sim.step()
     # one summon only, even though two more idle vehicles sat at OAK
-    assert len(sim.trips) == 1
+    assert len(logged(sim)) == 1
 
 
 def test_helper_flying_riders_into_the_origin_is_not_inbound():
@@ -325,7 +346,7 @@ def test_lower_vehicle_id_wins_at_origin(net, spec):
                     initial_placement="node:0")
     sim = scripted_sim(cfg, [RiderRequest(0, SFO, OAK, 0)])
     sim.step()
-    assert sim.trips[0].vehicle_id == 0
+    assert logged(sim)[0].vehicle_id == 0
     assert 1 in sim.idle_at[SFO]
 
 
@@ -348,16 +369,17 @@ def test_reposition_single_candidate(net, spec):
     sim = scripted_sim(cfg, [RiderRequest(0, SJC, SFO, 0)])
     sim.inject(0)
     sim.reposition_idle(0)
-    assert len(sim.trips) == 1
-    assert sim.trips[0].kind == REPOSITION
-    assert sim.trips[0].origin == PAO and sim.trips[0].dest == SJC
+    trips = logged(sim)
+    assert len(trips) == 1
+    assert trips[0].kind == REPOSITION
+    assert trips[0].origin == PAO and trips[0].dest == SJC
 
 
 def test_no_waiting_riders_no_movement(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=4, t_sim=60)
     sim = Simulation(cfg)
     sim.reposition_idle(0)
-    assert sim.trips == []
+    assert logged(sim) == []
 
 
 def reposition_after_summons(net, spec, sfo_rate: float, sjc_rate: float) -> Simulation:
@@ -378,7 +400,7 @@ def reposition_after_summons(net, spec, sfo_rate: float, sjc_rate: float) -> Sim
     sim.due.setdefault(2, []).append(2)
     rebuild_idle_heaps(sim)
     sim.step()  # minute 0: riders summon vehicles 0 (to SFO) and 1 (to SJC)
-    summons = {t.vehicle_id: t.dest for t in sim.trips}
+    summons = {t.vehicle_id: t.dest for t in logged(sim)}
     assert summons == {0: SFO, 1: SJC}
     sim.step()  # minute 1: nothing new
     sim.step()  # minute 2: vehicle 2 goes idle at OAK, then repositions
@@ -388,7 +410,7 @@ def reposition_after_summons(net, spec, sfo_rate: float, sjc_rate: float) -> Sim
 def test_reposition_prefers_higher_origin_rate(net, spec):
     # the vehicle coming off charge at OAK must head for SJC, whose origin
     # rate is the larger
-    last = reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=2e-9).trips[-1]
+    last = logged(reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=2e-9))[-1]
     assert last.vehicle_id == 2
     assert last.kind == REPOSITION
     assert last.origin == OAK and last.dest == SJC
@@ -396,7 +418,7 @@ def test_reposition_prefers_higher_origin_rate(net, spec):
 
 def test_reposition_tie_goes_to_lower_id(net, spec):
     # equal origin rates: the vehicle heads for SFO, the lower id
-    last = reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=1e-9).trips[-1]
+    last = logged(reposition_after_summons(net, spec, sfo_rate=1e-9, sjc_rate=1e-9))[-1]
     assert last.vehicle_id == 2
     assert last.kind == REPOSITION
     assert last.origin == OAK and last.dest == SFO
@@ -655,9 +677,10 @@ def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
         sim.step()
         generated, dropped, onboard, waiting = sim.counts()
         assert generated == sum(map(len, sim.arrivals_by_minute[:sim.minute]))
+        trips = logged(sim)
         # riders whose leg has landed are exactly the dropped ones
-        assert dropped == sum(len(t.rider_ids) for t in sim.trips if t.arrive_min < sim.minute)
-        assert dropped + onboard == sum(len(t.rider_ids) for t in sim.trips)
+        assert dropped == sum(len(t.rider_ids) for t in trips if t.arrive_min < sim.minute)
+        assert dropped + onboard == sum(len(t.rider_ids) for t in trips)
     return sim
 
 
@@ -670,7 +693,7 @@ def test_conservation_holds_every_minute_without_post_reposition_charge(net, spe
     cfg = SimConfig(net=net, spec=spec, rates=baseline_rates, fleet=6, t_sim=240, seed=17,
                     charge_after_reposition=False)
     sim = assert_conserved_every_minute(cfg)
-    assert any(t.kind == REPOSITION for t in sim.trips)
+    assert any(t.kind == REPOSITION for t in logged(sim))
 
 
 def test_conservation_holds_every_minute_on_a_backlogged_day():
@@ -724,4 +747,4 @@ def test_presampled_riders_give_the_same_run(case, net, spec, baseline_rates):
 def test_round_robin_spreads_initial_fleet(net, spec):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=6, t_sim=5)
     sim = Simulation(cfg)
-    assert [leg.dest for leg in sim.last_leg] == [0, 1, 2, 3, 0, 1]
+    assert sim.node == [0, 1, 2, 3, 0, 1]
