@@ -7,6 +7,7 @@ month to become arrival rates; a seeded generator then realizes one
 day's rider stream, reproducibly.
 """
 
+from itertools import islice
 from pathlib import Path
 
 from uamsim import build_world, expected_arrivals, generate_arrivals, load_scenario
@@ -23,7 +24,7 @@ print(f"expected riders over a 1200-minute day: {expected_arrivals(rates, 1200):
 riders = generate_arrivals(rates, t_sim=1200, seed=0)
 print(f"\nseed 0 realizes {len(riders)} riders")
 print("first five requests (id, origin, dest, minute):")
-for r in riders[:5]:
+for r in islice(riders, 5):
     print(f"  {r.rider_id}  {net.codes[r.origin]} -> {net.codes[r.dest]}  @ {r.arrival_min}")
 
 # identical seed, identical stream; different seed, different draw

@@ -10,6 +10,7 @@ wait-time, utilization, load-factor, and cost targets.
 from .config import CostParams, ScenarioConfig, build_world, load_scenario
 from .demand import (
     RNG_NAME,
+    ArrivalStream,
     DemandRates,
     ODMatrix,
     RiderRequest,

@@ -24,15 +24,21 @@ the stream, across a chunk edge if need be, with the same float64
 stream, the draw order and every float operation are that loop's, so the
 riders are identical; the tests check this against a scalar oracle.  The
 scan records the draw of each rider, and the riders of each chunk are then
-built from those indices in C.
+appended to the stream's columns from those indices in C.
 
 The scan's cost grows with the largest per-pair rate, because ``floor``
 falls as it rises: one pair at 1.0/min beside cold pairs lets 63% of all
 uniforms through, and the sampler is then slower than a loop that steps
 through every draw.
 
+The stream is an ``ArrivalStream``: three plain lists, ``origin``,
+``dest`` and ``minute``, where rider ``i`` is entry ``i`` of each, so a
+rider's id is its place and no object is built per rider.  The riders of
+one minute share that minute's int.  A ``RiderRequest`` is made only for
+a caller that iterates the stream; no command does.
+
 A stream depends only on (rates, horizon, seed), so a fleet sweep samples
-each seed once and hands the list to every run (see ``Simulation``'s
+each seed once and hands it to every run (see ``Simulation``'s
 ``riders``).
 """
 
@@ -41,9 +47,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -123,6 +129,47 @@ class RiderRequest(NamedTuple):
     origin: int
     dest: int
     arrival_min: int
+
+
+@dataclass(frozen=True)
+class ArrivalStream:
+    """A day's riders as three columns: rider ``i`` is entry ``i`` of
+    ``origin``, ``dest`` and ``minute``, so its id is its place.
+
+    The contract every stream keeps: rider ``i`` has id ``i``, and the
+    minutes never decrease, so a minute's riders are a run of consecutive
+    ids.  ``generate_arrivals`` builds streams that keep it by
+    construction, and ``of`` builds a hand-written one from
+    ``RiderRequest``s, refusing a rider whose ``rider_id`` is not its
+    place.  ``Simulation`` refuses a stream whose minutes decrease or
+    leave ``[0, t_sim)``, or whose riders travel on a pair it cannot fly.
+
+    ``len`` is the rider count, and iterating yields each rider's
+    ``RiderRequest``, made on demand, so ``list(stream)`` is the rider list.
+    """
+
+    origin: list[int]
+    dest: list[int]
+    minute: list[int]
+
+    @classmethod
+    def of(cls, riders: Iterable[RiderRequest]) -> ArrivalStream:
+        """The stream of hand-written riders, rider ``i`` with ``rider_id`` ``i``."""
+        stream = cls([], [], [])
+        for i, rider in enumerate(riders):
+            if rider.rider_id != i:
+                raise ConfigError(f"stream rider {i} is {rider}; it must have rider_id {i}")
+            stream.origin.append(rider.origin)
+            stream.dest.append(rider.dest)
+            stream.minute.append(rider.arrival_min)
+        return stream
+
+    def __len__(self) -> int:
+        return len(self.minute)
+
+    def __iter__(self) -> Iterator[RiderRequest]:
+        """Each rider's ``RiderRequest``, made on demand."""
+        return map(RiderRequest, count(), self.origin, self.dest, self.minute)
 
 
 def load_od_csv(path: str | Path, net: RouteNetwork) -> ODMatrix:
@@ -246,7 +293,7 @@ def _rider_draws(exps: list[float], t_sim: int, seed: int) -> Iterator[list[int]
     yield drawn
 
 
-def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRequest]:
+def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> ArrivalStream:
     """Sample the full rider-arrival stream for one simulation run.
 
     For each minute (ascending) and each ordered pair in lexicographic
@@ -259,19 +306,18 @@ def generate_arrivals(rates: DemandRates, t_sim: int, seed: int) -> list[RiderRe
         raise ValidationError(f"t_sim must be positive, got {t_sim}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    stream = ArrivalStream([], [], [])
     positive = rates.per_min > 0.0
     np.fill_diagonal(positive, False)
     origins, dests = np.nonzero(positive)  # in lexicographic order
     if not len(origins):
-        return []
+        return stream
     exps = [math.exp(-rate) for rate in rates.per_min[origins, dests].tolist()]
     minutes = list(range(t_sim))  # one int per minute, shared by its riders
-    riders: list[RiderRequest] = []
     for batch in _rider_draws(exps, t_sim, seed):
         drawn = np.array(batch, dtype=np.int64)
         pair = drawn % len(exps)
-        # tuple.__new__ from map skips the Python frame of RiderRequest.__new__
-        riders += map(tuple.__new__, repeat(RiderRequest), zip(
-            count(len(riders)), origins[pair].tolist(), dests[pair].tolist(),
-            map(minutes.__getitem__, (drawn // len(exps)).tolist())))
-    return riders
+        stream.origin.extend(origins[pair].tolist())
+        stream.dest.extend(dests[pair].tolist())
+        stream.minute.extend(map(minutes.__getitem__, (drawn // len(exps)).tolist()))
+    return stream

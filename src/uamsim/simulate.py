@@ -24,11 +24,18 @@ lists the same nodes in id order.  A summons walks the first, a
 reposition the second, and the arrival stream is checked against the
 pairs they hold, so no leg beyond range is ever flown.
 
+The arrival stream is an ``ArrivalStream``, three columns in which rider
+``i`` is entry ``i``, and the engine holds riders by id only.  The stream
+is in minute order, so minute ``m``'s riders are the ids ``first[m]`` up
+to ``first[m + 1]``: ``__init__`` counts each minute's riders while it
+checks the stream and sums the counts into the ``t_sim + 1`` offsets of
+``first``.
+
 Waiting riders are held three ways: ``waiting`` maps each rider's id, in
-id order, to the vehicle it summoned or None (dispatch reads the rider
-itself from the arrival stream, where rider ``i`` is at place ``i``), each
-(origin, dest) pair has a FIFO ``deque`` of its riders, and each origin
-keeps a count of riders waiting there.  A boarding pools the
+id order, to the vehicle it summoned or None (dispatch reads the rider's
+origin and dest from the stream's columns), each (origin, dest) pair has
+a FIFO ``deque`` of its riders' ids, and each origin keeps a count of
+riders waiting there.  A boarding pools the
 first ``capacity`` riders of its pair's queue, and repositioning reads the
 per-origin counts, so a minute costs time in proportion to the riders
 visited and the legs launched, not to the length of the queue.
@@ -44,7 +51,7 @@ dest, depart, arrive and rider count) plus one flat list of every leg's
 rider ids, leg after leg.  A leg carries riders if and only if it is a
 revenue leg, so its ``kind`` is not stored.  The lists hold ints that
 exist anyway (vehicle ids from the idle heaps, the minute, the shared
-landing minutes, rider ids from the stream), so a leg costs a slot in
+landing minutes, rider ids from the pair queues), so a leg costs a slot in
 each list and no object of its own.  ``TripRecord``s are built only for
 a caller that reads ``SimResult.trips``; no command does.
 
@@ -108,15 +115,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress, islice
-from operator import add
+from itertools import accumulate, compress, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .config import placement_node
-from .demand import DemandRates, RiderRequest, check_demand_in_range, generate_arrivals
+from .demand import ArrivalStream, DemandRates, RiderRequest, check_demand_in_range, generate_arrivals
 from .errors import ConfigError
 from .network import RouteNetwork, VehicleSpec, _check_fields, _write_csv
 
@@ -261,7 +267,7 @@ class SimResult:
     """
 
     config: SimConfig
-    stream: list[RiderRequest]
+    stream: ArrivalStream
     log: TripLog
     last_legs: tuple[TripRecord, ...]
     unserved: int
@@ -296,7 +302,8 @@ class SimResult:
 
     def _outcome_rows(self) -> Iterator[tuple]:
         """Each rider's ``RiderOutcome`` fields, as plain tuples made on demand."""
-        return map(add, self.stream, zip(*self._boards_and_dropoffs))
+        stream, (boards, dropoffs) = self.stream, self._boards_and_dropoffs
+        return zip(count(), stream.origin, stream.dest, stream.minute, boards, dropoffs)
 
     @cached_property
     def riders(self) -> tuple[RiderOutcome, ...]:
@@ -316,8 +323,8 @@ class SimResult:
     def waits(self) -> list[int]:
         """Wait minutes of every rider who boarded, in rider-id order."""
         boards = self._boards_and_dropoffs[0]
-        return [board - rider.arrival_min
-                for rider, board in zip(self.stream, boards) if board is not None]
+        return [board - arrival
+                for arrival, board in zip(self.stream.minute, boards) if board is not None]
 
     @cached_property
     def vehicles(self) -> tuple[VehicleStats, ...]:
@@ -368,15 +375,16 @@ class Simulation:
     ``reposition_idle``) and inspect intermediate state.
     """
 
-    def __init__(self, cfg: SimConfig, riders: list[RiderRequest] | None = None):
+    def __init__(self, cfg: SimConfig, riders: ArrivalStream | None = None):
         """``riders`` is the arrival stream, or ``None`` to sample
         ``generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)`` here.
 
-        A stream sampled beforehand lets one list serve many runs (it is
-        only read); unit scenarios hand-write one, often over zero rates.
-        Any stream must hold rider ``i`` at place ``i``, each arriving in
-        ``[0, t_sim)`` on a feasible pair of ``cfg.net``; a rider that
-        breaks this is refused with a ``ConfigError`` naming it.
+        A stream sampled beforehand lets one stream serve many runs (it is
+        only read); unit scenarios hand-write one with ``ArrivalStream.of``,
+        often over zero rates.  Every rider must arrive in ``[0, t_sim)``,
+        no earlier than the rider before it, on a feasible pair of
+        ``cfg.net``; a rider that breaks this is refused with a
+        ``ConfigError`` naming it.
         """
         n = cfg.net.n
         self.cfg = cfg
@@ -399,16 +407,19 @@ class Simulation:
 
         if riders is None:
             riders = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
-        self.all_riders = riders
-        self.arrivals_by_minute: list[list[RiderRequest]] = [[] for _ in range(cfg.t_sim)]
-        t_sim, by_minute = cfg.t_sim, self.arrivals_by_minute
+        self.stream = riders
+        t_sim, per_minute, last = cfg.t_sim, [0] * cfg.t_sim, 0
         pairs = {(o, d) for d, nodes in enumerate(self.summon_from) for o in nodes}
-        for i, rider in enumerate(riders):
-            rider_id, origin, dest, minute = rider
-            if not (rider_id == i and 0 <= minute < t_sim and (origin, dest) in pairs):
-                raise ConfigError(f"stream rider {i} is {rider}; it must have rider_id {i} and "
-                                  f"arrive in [0, {t_sim}) on a feasible pair of the network")
-            by_minute[minute].append(rider)
+        for i, (origin, dest, minute) in enumerate(zip(riders.origin, riders.dest, riders.minute)):
+            # minutes rise from 0, so a minute's riders are consecutive ids
+            if not (last <= minute < t_sim and (origin, dest) in pairs):
+                raise ConfigError(f"stream rider {i} is {RiderRequest(i, origin, dest, minute)}; it must "
+                                  f"arrive in [0, {t_sim}), no earlier than the rider before it, "
+                                  f"on a feasible pair of the network")
+            per_minute[minute] += 1
+            last = minute
+        # minute m's riders are the ids first[m] up to first[m + 1]
+        self.first = [0, *accumulate(per_minute)]
 
         self.log = TripLog([], [], [], [], [], [], [])
         # per vehicle: the index of its last leg in the log (-1 before its
@@ -426,14 +437,13 @@ class Simulation:
         # waiting rider id -> the vehicle it summoned, or None; insertion
         # order == rider id order
         self.waiting: dict[int, int | None] = {}
-        # the same riders, FIFO per (origin, dest) pair and counted per origin
-        self.queue: list[list[deque[RiderRequest]]] = [
+        # the same riders' ids, FIFO per (origin, dest) pair and counted per origin
+        self.queue: list[list[deque[int]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
         self.waiting_at = [0] * n
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.landings: dict[int, int] = {}          # each arrive_min value, one int object
-        self.generated_so_far = 0
         self.minute = 0
 
     # -- per-minute phases ------------------------------------------------
@@ -449,25 +459,27 @@ class Simulation:
         self.idle_count += len(due)
 
     def inject(self, minute: int) -> None:
-        for rider in self.arrivals_by_minute[minute]:
-            self.waiting[rider.rider_id] = None
-            self.queue[rider.origin][rider.dest].append(rider)
-            self.waiting_at[rider.origin] += 1
-            self.generated_so_far += 1
+        """Queue the riders who arrive this minute."""
+        waiting, queue, waiting_at = self.waiting, self.queue, self.waiting_at
+        origins, dests = self.stream.origin, self.stream.dest
+        for rid in range(self.first[minute], self.first[minute + 1]):
+            origin = origins[rid]
+            waiting[rid] = None
+            queue[origin][dests[rid]].append(rid)
+            waiting_at[origin] += 1
 
     def dispatch_step(self, minute: int) -> None:
         if self.idle_count == 0:
             return  # nobody can board or be summoned this minute
-        waiting, idle_at, all_riders = self.waiting, self.idle_at, self.all_riders
+        waiting, idle_at, origins = self.waiting, self.idle_at, self.stream.origin
         boarded: set[int] = set()
         # setting a rider's summons keeps the keys, so the walk stays valid
         for rid, helper in waiting.items():
             if rid in boarded:
                 continue  # pooled onto an earlier boarding this pass
-            rider = all_riders[rid]
-            origin = rider.origin
+            origin = origins[rid]
             if idle_at[origin]:
-                boarded.update(self._board(rider, minute))
+                boarded.update(self._board(rid, origin, minute))
                 continue
             # help is on its way while the helper's last leg is still a
             # reposition leg here; see the module docstring
@@ -496,17 +508,19 @@ class Simulation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _board(self, rider: RiderRequest, minute: int) -> tuple[int, ...]:
-        """Fly ``rider`` and up to ``capacity - 1`` pair-mates; return their ids.
+    def _board(self, rid: int, origin: int, minute: int) -> tuple[int, ...]:
+        """Fly rider ``rid`` from ``origin`` with up to ``capacity - 1``
+        pair-mates; return their ids.
 
-        ``rider`` is at the front of its pair's queue: riders are visited in
+        The rider is at the front of its pair's queue: riders are visited in
         id order and no vehicle goes idle during a pass, so an earlier rider
         of the same pair who was not boarded found no idle vehicle here.
         """
-        queue = self.queue[rider.origin][rider.dest]
-        group = tuple(queue.popleft().rider_id for _ in range(min(self.capacity, len(queue))))
-        self.waiting_at[rider.origin] -= len(group)
-        self._launch(rider.origin, REVENUE, rider.dest, group, minute)
+        dest = self.stream.dest[rid]
+        queue = self.queue[origin][dest]
+        group = tuple(queue.popleft() for _ in range(min(self.capacity, len(queue))))
+        self.waiting_at[origin] -= len(group)
+        self._launch(origin, REVENUE, dest, group, minute)
         return group
 
     def _launch(self, origin: int, kind: str, dest: int, riders: tuple[int, ...], minute: int) -> int:
@@ -541,8 +555,8 @@ class Simulation:
         See the module docstring for why a minute at which no vehicle comes
         back and no rider arrives can skip all four phases.
         """
-        m = self.minute
-        if m in self.due or self.arrivals_by_minute[m]:
+        m, first = self.minute, self.first
+        if m in self.due or first[m] != first[m + 1]:
             self.fire_transitions(m)
             self.inject(m)
             self.dispatch_step(m)
@@ -559,8 +573,8 @@ class Simulation:
         minute, arrive = self.minute, self.log.arrive
         onboard = sum(len(group) for leg, group in zip(self.last_leg, self.last_group)
                       if group and arrive[leg] >= minute)
-        waiting = len(self.waiting)
-        return self.generated_so_far, self.generated_so_far - waiting - onboard, onboard, waiting
+        generated, waiting = self.first[minute], len(self.waiting)
+        return generated, generated - waiting - onboard, onboard, waiting
 
     def run(self) -> SimResult:
         """Step to the horizon and return the result, read from the engine's state."""
@@ -573,10 +587,10 @@ class Simulation:
             else:
                 last_legs.append(TripRecord(vid, REVENUE if group else REPOSITION, log.origin[leg],
                                             node, log.depart[leg], log.arrive[leg], group))
-        return SimResult(self.cfg, self.all_riders, log, tuple(last_legs), len(self.waiting))
+        return SimResult(self.cfg, self.stream, log, tuple(last_legs), len(self.waiting))
 
 
-def run_simulation(cfg: SimConfig, riders: list[RiderRequest] | None = None) -> SimResult:
+def run_simulation(cfg: SimConfig, riders: ArrivalStream | None = None) -> SimResult:
     """Execute one full run; identical configs give byte-identical results.
 
     ``riders`` is an arrival stream sampled beforehand, as for ``Simulation``.

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uamsim import ConfigError, SimResult
+from uamsim import ArrivalStream, ConfigError, SimResult
 from uamsim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 from conftest import BASELINE_DIR
@@ -731,6 +731,21 @@ def test_no_command_builds_a_trip_record_per_leg(scenario_dir, tmp_path, monkeyp
         raise AssertionError("a command built SimResult.trips")
 
     monkeypatch.setattr(SimResult, "trips", property(refuse))
+    assert run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--fleet", "32"),
+    ("sweep", "--seeds", "2"),
+], ids=["simulate", "sweep"])
+def test_no_command_builds_a_rider_request_per_rider(scenario_dir, tmp_path, monkeypatch, argv):
+    """Commands read the arrival stream's columns; iterating it, one
+    ``RiderRequest`` per rider, is left to a caller that wants the records."""
+
+    def refuse(stream):
+        raise AssertionError("a command iterated the arrival stream")
+
+    monkeypatch.setattr(ArrivalStream, "__iter__", refuse)
     assert run_cli(*argv, "--config", scenario_dir / "config.json", "--out", tmp_path) == EXIT_OK
 
 

@@ -155,7 +155,7 @@ def test_expected_arrivals():
 
 def test_zero_rates_generate_nothing(net):
     rates = single_pair_rates(net, 0.0)
-    assert generate_arrivals(rates, 100, seed=1) == []
+    assert list(generate_arrivals(rates, 100, seed=1)) == []
 
 
 def knuth_oracle(rates: DemandRates, t_sim: int, seed: int) -> tuple[list[RiderRequest], int]:
@@ -221,7 +221,7 @@ def test_stream_equals_scalar_knuth_oracle(case, chunk, net, baseline_rates, mon
         monkeypatch.setattr(demand, "_CHUNK", chunk)
     expected, used = knuth_oracle(rates, t_sim, seed=8)
     assert used > min_used
-    assert generate_arrivals(rates, t_sim, seed=8) == expected
+    assert list(generate_arrivals(rates, t_sim, seed=8)) == expected
 
 
 @settings(deadline=None)
@@ -237,7 +237,7 @@ def test_stream_equals_oracle_on_random_matrices(cells, n, t_sim, seed, chunk):
     rates = DemandRates(per_min=np.array(cells[: n * n]).reshape(n, n))
     with mock.patch.object(demand, "_CHUNK", chunk):
         riders = generate_arrivals(rates, t_sim, seed)
-    assert riders == knuth_oracle(rates, t_sim, seed)[0]
+    assert list(riders) == knuth_oracle(rates, t_sim, seed)[0]
 
 
 def test_same_seed_reproduces_stream(baseline_rates):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uamsim import (
+    ArrivalStream,
     CostParams,
     DemandRates,
     MetricsError,
@@ -97,8 +98,8 @@ def _one_aircraft_day(net, spec, legs, t_sim=1200):
     arrived at its leg's take-off and rider ids run from 0."""
     rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=t_sim)
-    stream = sorted(RiderRequest(rid, leg.origin, leg.dest, leg.depart_min)
-                    for leg in legs for rid in leg.rider_ids)
+    stream = ArrivalStream.of(sorted(RiderRequest(rid, leg.origin, leg.dest, leg.depart_min)
+                                     for leg in legs for rid in leg.rider_ids))
     last = legs[-1] if legs else TripRecord(0, REVENUE, 0, 0, 0, 0, ())
     return SimResult(config=cfg, stream=stream, log=_trip_log(legs), last_legs=(last,), unserved=0)
 
@@ -167,7 +168,7 @@ def test_throughput_single_served_rider(net, spec):
     rates = DemandRates(per_min=np.zeros((net.n, net.n)))
     cfg = SimConfig(net=net, spec=spec, rates=rates, fleet=1, t_sim=40,
                     initial_placement="node:0")
-    sim = Simulation(cfg, riders=[RiderRequest(0, 0, 2, 0)])
+    sim = Simulation(cfg, riders=ArrivalStream.of([RiderRequest(0, 0, 2, 0)]))
     matrix = throughput_matrix(sim.run())
     assert matrix[0, 2] == 1
     assert matrix.sum() == 1

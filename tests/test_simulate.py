@@ -13,6 +13,7 @@ import pytest
 from uamsim import (
     REPOSITION,
     REVENUE,
+    ArrivalStream,
     ConfigError,
     DemandRates,
     GeoNode,
@@ -22,6 +23,7 @@ from uamsim import (
     TripRecord,
     VehicleSpec,
     build_network,
+    compute_metrics,
     generate_arrivals,
     run_simulation,
 )
@@ -37,10 +39,10 @@ def zero_rates(net) -> DemandRates:
 
 
 def scripted_sim(cfg: SimConfig, riders: list[RiderRequest]) -> Simulation:
-    """Simulation over a config that draws no riders, with a hand-written list."""
+    """Simulation over a config that draws no riders, with a hand-written stream."""
     assert not generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed), \
         "scripted scenarios need a config that draws no riders"
-    return Simulation(cfg, riders=list(riders))
+    return Simulation(cfg, riders=ArrivalStream.of(riders))
 
 
 def logged(sim: Simulation) -> list[TripRecord]:
@@ -233,6 +235,24 @@ def test_a_run_builds_no_trip_record_per_leg(sim_config):
     assert records() - before <= cfg.fleet
     assert len(result.trips) > 10 * cfg.fleet
     assert records() - before >= len(result.trips)
+
+
+def test_a_run_builds_no_rider_request(sim_config):
+    # the stream is three columns and the engine holds rider ids, so no
+    # RiderRequest exists unless a caller iterates the stream
+    def requests() -> int:
+        gc.collect()
+        return sum(isinstance(obj, RiderRequest) for obj in gc.get_objects())
+
+    cfg = sim_config()
+    before = requests()
+    stream = generate_arrivals(cfg.rates, cfg.t_sim, cfg.seed)
+    result = run_simulation(cfg, stream)
+    report = compute_metrics(result)
+    assert len(stream) > 100 and report.served > 0 and result.unserved > 0
+    assert requests() == before
+    riders = list(stream)
+    assert requests() - before == len(riders)
 
 
 def test_records_are_immutable(net, spec):
@@ -508,29 +528,34 @@ def test_rider_beyond_range_is_refused():
     assert not net.feasible.any()
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=60)
     with pytest.raises(ConfigError, match=r"stream rider 0 is RiderRequest\(rider_id=0, origin=0, dest=1"):
-        Simulation(cfg, riders=[RiderRequest(0, 0, 1, 0)])
+        Simulation(cfg, riders=ArrivalStream.of([RiderRequest(0, 0, 1, 0)]))
 
 
-@pytest.mark.parametrize("riders, place", [
-    ([RiderRequest(0, SFO, OAK, -1)], 0),  # wrapped to the last minute
-    ([RiderRequest(0, SFO, OAK, 60)], 0),  # an IndexError
-    ([RiderRequest(0, SFO, OAK, 0), RiderRequest(1, SFO, SFO, 0)], 1),  # a self-trip, flown and served
-    ([RiderRequest(0, SFO, 5, 0)], 0),  # an IndexError
-    ([RiderRequest(0, -1, OAK, 0)], 0),  # wrapped to the last node
-    ([RiderRequest(0, SFO, -4, 0)], 0),  # wrapped to the first node, a self-trip
-    ([RiderRequest(1, SFO, OAK, 50), RiderRequest(0, OAK, SFO, 0)], 0),  # swapped the two outcomes
+# what the engine demands of every rider of a stream
+IN_RANGE = r"arrive in \[0, 60\), no earlier than the rider before it, on a feasible pair of the network"
+
+
+@pytest.mark.parametrize("riders, place, demand", [
+    ([RiderRequest(0, SFO, OAK, -1)], 0, IN_RANGE),  # wrapped to the last minute
+    ([RiderRequest(0, SFO, OAK, 60)], 0, IN_RANGE),  # an IndexError
+    ([RiderRequest(0, SFO, OAK, 0), RiderRequest(1, SFO, SFO, 0)], 1, IN_RANGE),  # a self-trip, flown and served
+    ([RiderRequest(0, SFO, 5, 0)], 0, IN_RANGE),  # an IndexError
+    ([RiderRequest(0, -1, OAK, 0)], 0, IN_RANGE),  # wrapped to the last node
+    ([RiderRequest(0, SFO, -4, 0)], 0, IN_RANGE),  # wrapped to the first node, a self-trip
+    # rider 1 was injected at minute 2 after rider 0 at minute 5, out of id order
+    ([RiderRequest(0, SFO, OAK, 5), RiderRequest(1, OAK, SFO, 2)], 1, IN_RANGE),
+    ([RiderRequest(1, SFO, OAK, 50), RiderRequest(0, OAK, SFO, 0)], 0, "have rider_id 0"),  # swapped the two outcomes
 ], ids=["before-minute-0", "at-the-horizon", "self-trip", "unknown-node", "negative-origin",
-        "negative-dest", "ids-out-of-place"])
-def test_hand_given_stream_is_checked(net, spec, riders, place):
+        "negative-dest", "minutes-decrease", "ids-out-of-place"])
+def test_hand_given_stream_is_checked(net, spec, riders, place, demand):
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=1, t_sim=60)
-    with pytest.raises(ConfigError, match=rf"stream rider {place} is .*; it must have rider_id {place} and "
-                                          r"arrive in \[0, 60\) on a feasible pair of the network"):
-        Simulation(cfg, riders=riders)
+    with pytest.raises(ConfigError, match=rf"stream rider {place} is RiderRequest\(.*\); it must {demand}$"):
+        Simulation(cfg, riders=ArrivalStream.of(riders))
 
 
 def test_hand_given_stream_on_every_edge_runs(net, spec):
     # first and last minute, lowest and highest node
-    riders = [RiderRequest(0, SFO, PAO, 0), RiderRequest(1, PAO, SFO, 59)]
+    riders = ArrivalStream.of([RiderRequest(0, SFO, PAO, 0), RiderRequest(1, PAO, SFO, 59)])
     cfg = SimConfig(net=net, spec=spec, rates=zero_rates(net), fleet=2, t_sim=60)
     assert run_simulation(cfg, riders).generated == 2
 
@@ -616,17 +641,17 @@ def test_invariants_on_random_configs(net, spec, baseline_rates, bay_nodes, case
 
 def assert_queues_match_waiting(sim: Simulation) -> None:
     """The per-pair queues and per-origin counts mirror the waiting ledger."""
-    n = sim.cfg.net.n
-    by_pair: dict[tuple[int, int], list[RiderRequest]] = {}
+    n, stream = sim.cfg.net.n, sim.stream
+    by_pair: dict[tuple[int, int], list[int]] = {}
     at_origin = [0] * n
-    for rider in (sim.all_riders[rid] for rid in sim.waiting):
-        by_pair.setdefault((rider.origin, rider.dest), []).append(rider)
-        at_origin[rider.origin] += 1
+    for rid in sim.waiting:
+        by_pair.setdefault((stream.origin[rid], stream.dest[rid]), []).append(rid)
+        at_origin[stream.origin[rid]] += 1
     for o in range(n):
         for d in range(n):
             queue = list(sim.queue[o][d])
             assert queue == by_pair.get((o, d), [])
-            assert [r.rider_id for r in queue] == sorted(r.rider_id for r in queue)
+            assert queue == sorted(queue)
     assert sim.waiting_at == at_origin
 
 
@@ -676,7 +701,7 @@ def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
     while sim.minute < cfg.t_sim:
         sim.step()
         generated, dropped, onboard, waiting = sim.counts()
-        assert generated == sum(map(len, sim.arrivals_by_minute[:sim.minute]))
+        assert generated == sum(minute < sim.minute for minute in sim.stream.minute)
         trips = logged(sim)
         # riders whose leg has landed are exactly the dropped ones
         assert dropped == sum(len(t.rider_ids) for t in trips if t.arrive_min < sim.minute)
@@ -741,7 +766,7 @@ def test_presampled_riders_give_the_same_run(case, net, spec, baseline_rates):
     assert riders
     copy = list(riders)
     assert run_simulation(cfg, riders).to_dict() == run_simulation(cfg).to_dict()
-    assert riders == copy  # the engine only reads the list
+    assert list(riders) == copy  # the engine only reads the stream
 
 
 def test_round_robin_spreads_initial_fleet(net, spec):
