@@ -34,11 +34,12 @@ checks the stream and sums the counts into the ``t_sim + 1`` offsets of
 Waiting riders are held three ways: ``waiting`` maps each rider's id, in
 id order, to the vehicle it summoned or None (dispatch reads the rider's
 origin and dest from the stream's columns), each (origin, dest) pair has
-a FIFO ``deque`` of its riders' ids, and each origin keeps a count of
-riders waiting there.  A boarding pools the
-first ``capacity`` riders of its pair's queue, and repositioning reads the
-per-origin counts, so a minute costs time in proportion to the riders
-visited and the legs launched, not to the length of the queue.
+a FIFO list of its riders' ids, and each origin keeps a count of riders
+waiting there.  A boarding pools the first ``capacity`` riders of its
+pair's queue and deletes them in one slice (a plain list, because an empty
+``deque`` costs ~0.7 kB and a run makes one per pair), and repositioning
+reads the per-origin counts, so a minute costs time in proportion to the
+riders visited and the legs launched, not to the length of the queue.
 
 The engine holds only live state.  A summons lives in its rider's
 ``waiting`` entry, so it leaves with the rider on boarding.  ``_launch``
@@ -47,13 +48,17 @@ minute of the run, so the legs that land in the same minute share one int
 object instead of holding one each.
 
 The trip log is a ``TripLog``: one plain list per field (vehicle, origin,
-dest, depart, arrive and rider count) plus one flat list of every leg's
-rider ids, leg after leg.  A leg carries riders if and only if it is a
-revenue leg, so its ``kind`` is not stored.  The lists hold ints that
-exist anyway (vehicle ids from the idle heaps, the minute, the shared
-landing minutes, rider ids from the pair queues), so a leg costs a slot in
-each list and no object of its own.  ``TripRecord``s are built only for
-a caller that reads ``SimResult.trips``; no command does.
+dest, depart, arrive and rider count) plus one flat ``array('q')`` of
+every leg's rider ids, leg after leg.  A leg carries riders if and only
+if it is a revenue leg, so its ``kind`` is not stored.  The lists hold
+ints that exist anyway (vehicle ids from the idle heaps, the minute, the
+shared landing minutes), so a leg costs a slot in each list and no object
+of its own.  A rider id exists only while its rider waits, so the log
+keeps rider ids as C int64s: a boarded rider's int is freed once
+``waiting``, its pair queue and its aircraft's ``last_group`` drop it.
+``_launch`` extends the array with the whole group, once per revenue
+leg.  ``TripRecord``s are built only for a caller that reads
+``SimResult.trips``; no command does.
 
 Nothing can change a leg once it has taken off, so a leg is one event.
 Vehicles charge for the full turnaround after every leg (the
@@ -111,13 +116,13 @@ loses no accounting.
 """
 
 # annotations are not postponed: SimConfig's check reads each field's type
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, compress, count, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,12 +163,14 @@ class RiderOutcome(NamedTuple):
 
 
 class TripLog(NamedTuple):
-    """The trip log, one list per field: leg ``i`` is entry ``i`` of each.
+    """The trip log, one sequence per field: leg ``i`` is entry ``i`` of each.
 
     ``seated`` is each leg's rider count, and ``rider_ids`` holds the
     riders of every leg in launch order, so a leg's riders follow those of
     the legs before it.  A leg with riders is a revenue leg, one without a
-    reposition leg.
+    reposition leg.  The readers only iterate ``rider_ids`` and take its
+    length, so it may be any int sequence: the engine logs it in an
+    ``array('q')``, and a hand-built log may give a list.
     """
 
     vehicle: list[int]
@@ -172,7 +179,7 @@ class TripLog(NamedTuple):
     depart: list[int]
     arrive: list[int]
     seated: list[int]
-    rider_ids: list[int]
+    rider_ids: Sequence[int]
 
     def records(self) -> Iterator[TripRecord]:
         """Each leg's ``TripRecord``, made on demand."""
@@ -421,7 +428,7 @@ class Simulation:
         # minute m's riders are the ids first[m] up to first[m + 1]
         self.first = [0, *accumulate(per_minute)]
 
-        self.log = TripLog([], [], [], [], [], [], [])
+        self.log = TripLog([], [], [], [], [], [], array("q"))
         # per vehicle: the index of its last leg in the log (-1 before its
         # first take-off), that leg's dest (or its start node) and its riders
         self.last_leg = [-1] * cfg.fleet
@@ -438,9 +445,7 @@ class Simulation:
         # order == rider id order
         self.waiting: dict[int, int | None] = {}
         # the same riders' ids, FIFO per (origin, dest) pair and counted per origin
-        self.queue: list[list[deque[int]]] = [
-            [deque() for _ in range(n)] for _ in range(n)
-        ]
+        self.queue: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
         self.waiting_at = [0] * n
         self.due: dict[int, list[int]] = {}         # minute -> vehicle ids idle again
         self.landings: dict[int, int] = {}          # each arrive_min value, one int object
@@ -518,7 +523,8 @@ class Simulation:
         """
         dest = self.stream.dest[rid]
         queue = self.queue[origin][dest]
-        group = tuple(queue.popleft() for _ in range(min(self.capacity, len(queue))))
+        group = tuple(queue[:self.capacity])
+        del queue[:self.capacity]
         self.waiting_at[origin] -= len(group)
         self._launch(origin, REVENUE, dest, group, minute)
         return group

@@ -105,7 +105,11 @@ def _one_aircraft_day(net, spec, legs, t_sim=1200):
 
 
 def _trip_log(legs) -> TripLog:
-    """The hand-written ``legs`` as the engine logs them, one list per field."""
+    """The hand-written ``legs`` as the engine logs them, one list per field.
+
+    The engine keeps the rider ids in an ``array('q')``; a list here keeps
+    the readers covered for any int sequence.
+    """
     columns = [[leg[field] for leg in legs] for field in (0, 2, 3, 4, 5)]
     return TripLog(*columns, [len(leg.rider_ids) for leg in legs],
                    [rid for leg in legs for rid in leg.rider_ids])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,7 +651,7 @@ def assert_queues_match_waiting(sim: Simulation) -> None:
         at_origin[stream.origin[rid]] += 1
     for o in range(n):
         for d in range(n):
-            queue = list(sim.queue[o][d])
+            queue = sim.queue[o][d]
             assert queue == by_pair.get((o, d), [])
             assert queue == sorted(queue)
     assert sim.waiting_at == at_origin
@@ -689,6 +691,29 @@ def test_each_landing_minute_is_one_int_object():
     arrivals = [leg.arrive_min for leg in result.trips]
     assert max(arrivals) > 256 and len(arrivals) > 2 * len(set(arrivals))
     assert len(set(map(id, arrivals))) == len(set(arrivals))
+
+
+def test_a_boarded_rider_keeps_no_int():
+    # the log keeps boarded riders' ids as C ints, so a rider id int made by
+    # inject outlives boarding only in an aircraft's last group; what else
+    # inject allocated (the waiting table, the queues' buffers) is a few kB
+    cfg = backlog_config(seed=5, fleet=600, t_sim=600)
+    lines, first = inspect.getsourcelines(Simulation.inject)
+    tracemalloc.start()
+    try:
+        result = run_simulation(cfg)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    source = Simulation.inject.__code__.co_filename
+    held = sum(stat.size for stat in snapshot.statistics("lineno")
+               if stat.traceback[0].filename == source
+               and first <= stat.traceback[0].lineno < first + len(lines))
+    assert result.unserved < 0.05 * result.generated
+    # the ints of the last groups and of the riders still waiting; holding
+    # every boarded rider's int as well would be ~28 B each, 580 kB here
+    bound = 64 * (cfg.fleet * cfg.spec.capacity + result.unserved)
+    assert held < bound
 
 
 def assert_conserved_every_minute(cfg: SimConfig) -> Simulation:
